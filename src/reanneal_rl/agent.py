@@ -27,17 +27,36 @@ class AgentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.target_sync_period_episodes < 1:
             raise ValueError("target_sync_period_episodes must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(
+                f"learning_rate must be positive, got {self.learning_rate}"
+            )
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
 
 class Agent:
-    """Online network, frozen target copy, Adam state."""
+    """Online network, frozen target copy, Adam state.
 
-    def __init__(self, config, layer_sizes, rng=None):
+    `online` and `target` default to a fresh He-uniform init and its copy;
+    load_checkpoint passes the loaded networks instead. The agent also owns
+    the per-step workspaces: a flat-backed gradient buffer that backward
+    fills in place, and the batch row index.
+    """
+
+    def __init__(self, config, layer_sizes, rng=None, online=None, target=None):
         self.config = config
-        self.online = mlp.init_params(layer_sizes, rng)
-        self.target = clone_params(self.online)
+        self.online = mlp.init_params(layer_sizes, rng) if online is None else online
+        self.target = clone_params(self.online) if target is None else target
+        if self.target.layer_sizes != self.online.layer_sizes:
+            raise ValueError(
+                f"target layer sizes {self.target.layer_sizes} != online "
+                f"layer sizes {self.online.layer_sizes}"
+            )
         self.optimizer = mlp.init_adam_state(self.online)
         self.episodes_since_sync = 0
+        self._grads = mlp.zero_like_grads(self.online)
+        self._rows = np.arange(config.batch_size)
 
     def greedy_action(self, observation):
         """Argmax over online Q-values, lowest index on ties."""
@@ -56,17 +75,20 @@ class Agent:
         rewards = np.array([e.reward for e in batch])
         next_states = np.stack([e.next_state for e in batch])
         dones = np.array([e.done for e in batch], dtype=bool)
-        return self._targets(rewards, next_states, dones)
+        return self._targets(rewards, next_states, dones, np.arange(len(batch)))
 
-    def _targets(self, rewards, next_states, dones):
+    def _targets(self, rewards, next_states, dones, rows):
         q_target = forward_batch(self.target, next_states)
         if self.config.double_dqn:
-            q_online = forward_batch(self.online, next_states)
-            best = np.argmax(q_online, axis=1)
-            bootstrap = q_target[np.arange(len(best)), best]
+            best = forward_batch(self.online, next_states).argmax(axis=1)
+            bootstrap = q_target[rows, best]
         else:
             bootstrap = q_target.max(axis=1)
-        return rewards + self.config.gamma * bootstrap * ~dones
+        # rewards + gamma * bootstrap * ~dones, with the same rounding
+        bootstrap *= self.config.gamma
+        bootstrap *= ~dones
+        bootstrap += rewards
+        return bootstrap
 
     def train_step(self, buffer, rng):
         """Sample a batch, backpropagate, apply one Adam step to the online
@@ -78,11 +100,13 @@ class Agent:
         states, actions, rewards, next_states, dones, _ = buffer.sample_arrays(
             self.config.batch_size, rng
         )
-        targets = self._targets(rewards, next_states, dones)
-        grads, loss = mlp.backward(
-            self.online, states, actions, targets, self.config.kappa
+        targets = self._targets(rewards, next_states, dones, self._rows)
+        _, loss = mlp.backward(
+            self.online, states, actions, targets, self.config.kappa,
+            grads=self._grads,
         )
-        mlp.adam_step(self.online, grads, self.optimizer, self.config.learning_rate)
+        mlp.adam_step(self.online, self._grads, self.optimizer,
+                      self.config.learning_rate)
         return loss
 
     def sync_target(self):
@@ -138,11 +162,7 @@ def load_checkpoint(prefix):
         min_replay_before_training=int(meta["min_replay_before_training"]),
     )
     online = mlp.load_network(prefix + ".online.net")
-    agent = Agent.__new__(Agent)
-    agent.config = config
-    agent.online = online
-    agent.target = mlp.load_network(prefix + ".target.net")
-    agent.optimizer = mlp.init_adam_state(online)
+    agent = Agent(config, online.layer_sizes, online=online,
+                  target=mlp.load_network(prefix + ".target.net"))
     agent.optimizer.step_count = int(meta.get("adam_step_count", 0))
-    agent.episodes_since_sync = 0
     return agent, meta

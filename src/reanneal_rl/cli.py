@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -78,15 +79,17 @@ def _cmd_train(args):
             config = default_config(args.env)
     else:
         config = default_config(args.env or "lander")
+    overrides = {"seed": _resolve_seed(args.seed)}
     if args.episodes is not None:
-        config.episodes = args.episodes
-    config.seed = _resolve_seed(args.seed)
+        overrides["episodes"] = args.episodes
     if args.decay_rate is not None:
-        config.decay_rate = args.decay_rate
+        overrides["decay_rate"] = args.decay_rate
     if args.no_reanneal:
-        config.reanneal_enabled = False
+        overrides["reanneal_enabled"] = False
     if args.out:
-        config.output_dir = args.out
+        overrides["output_dir"] = args.out
+    # replace() reruns the config's validation on the flag values.
+    config = replace(config, **overrides)
 
     records = run_training(config)
     emit_reward_plot(

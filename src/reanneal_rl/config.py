@@ -8,7 +8,7 @@ for the run manifest written next to the metrics of every training run.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .agent import AgentConfig
 
@@ -44,6 +44,19 @@ class RunConfig:
             raise ValueError("episodes must be >= 1")
         if self.moving_average_window < 1:
             raise ValueError("moving_average_window must be >= 1")
+        if not 0 < self.decay_rate <= 1:
+            raise ValueError(f"decay_rate must be in (0, 1], got {self.decay_rate}")
+        if not 0 <= self.epsilon_min <= 1:
+            raise ValueError(
+                f"epsilon_min must be in [0, 1], got {self.epsilon_min}"
+            )
+        if self.stuck_threshold < 1:
+            raise ValueError("stuck_threshold must be >= 1")
+        if self.replay_capacity < self.agent.batch_size:
+            raise ValueError(
+                f"replay_capacity {self.replay_capacity} is smaller than "
+                f"batch_size {self.agent.batch_size}"
+            )
 
 
 def default_config(env):
@@ -59,50 +72,50 @@ def default_config(env):
     )
 
 
-_RUN_INT = {"episodes", "seed", "stuck_threshold", "replay_capacity",
-            "checkpoint_every", "moving_average_window"}
-_RUN_FLOAT = {"decay_rate", "epsilon_min"}
-_RUN_BOOL = {"reanneal_enabled"}
-_AGENT_INT = {"batch_size", "target_sync_period_episodes",
-              "min_replay_before_training"}
-_AGENT_FLOAT = {"gamma", "learning_rate", "kappa"}
-_AGENT_BOOL = {"double_dqn"}
+def _parse_sizes(raw):
+    return tuple(int(v) for v in raw.replace(",", " ").split())
+
+
+def _parse_bool(raw):
+    value = raw.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# Value parsers by dataclass field annotation; fields of other types (the
+# nested AgentConfig) cannot be set from a file.
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
+            "tuple": _parse_sizes}
+
+
+def _section_values(parser, section, cls, path, skip=()):
+    """The [section] keys of a config file, parsed by the type of the
+    matching field of `cls`."""
+    types = {f.name: f.type for f in fields(cls) if f.type in _PARSERS}
+    values = {}
+    if parser.has_section(section):
+        for key, raw in parser.items(section):
+            if key in skip:
+                continue
+            if key not in types:
+                raise ValueError(f"unknown [{section}] key {key!r} in {path}")
+            values[key] = _PARSERS[types[key]](raw)
+    return values
 
 
 def load_config(path):
+    """Read a config file over the defaults of its environment. Values are
+    applied with dataclasses.replace, so every field is validated."""
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
     config = default_config(parser.get("run", "env", fallback="lander"))
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key == "env":
-                continue
-            elif key in _RUN_INT:
-                setattr(config, key, int(raw))
-            elif key in _RUN_FLOAT:
-                setattr(config, key, float(raw))
-            elif key in _RUN_BOOL:
-                setattr(config, key, _parse_bool(raw))
-            elif key == "hidden_sizes":
-                config.hidden_sizes = tuple(
-                    int(v) for v in raw.replace(",", " ").split()
-                )
-            elif key == "output_dir":
-                config.output_dir = raw
-            else:
-                raise ValueError(f"unknown [run] key {key!r} in {path}")
-    if parser.has_section("agent"):
-        for key, raw in parser.items("agent"):
-            if key in _AGENT_INT:
-                setattr(config.agent, key, int(raw))
-            elif key in _AGENT_FLOAT:
-                setattr(config.agent, key, float(raw))
-            elif key in _AGENT_BOOL:
-                setattr(config.agent, key, _parse_bool(raw))
-            else:
-                raise ValueError(f"unknown [agent] key {key!r} in {path}")
-    return config
+    run = _section_values(parser, "run", RunConfig, path, skip=("env",))
+    agent = _section_values(parser, "agent", AgentConfig, path)
+    return replace(config, agent=replace(config.agent, **agent), **run)
 
 
 def save_config(config, path):
@@ -116,11 +129,3 @@ def save_config(config, path):
     with open(path, "w") as fh:
         parser.write(fh)
 
-
-def _parse_bool(raw):
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")

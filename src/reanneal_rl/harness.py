@@ -9,6 +9,7 @@ checkpoints are written periodically plus at the end.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -170,7 +171,7 @@ def run_training(config, env=None, episode_callback=None):
                 ))
                 loss = agent.train_step(buffer, rng_sample)
                 if loss is not None:
-                    if not np.isfinite(loss):
+                    if not math.isfinite(loss):
                         record = EpisodeRecord(
                             episode, steps + 1, total_reward, schedule.epsilon,
                             stuck.count, False, float(loss),

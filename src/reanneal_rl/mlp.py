@@ -48,7 +48,11 @@ class Gradients:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """First/second moment accumulators plus hyperparameters.
+
+    `scratch` holds two buffers of the parameter count that adam_step
+    writes its temporaries into; they carry no state between steps.
+    """
 
     m: Gradients
     v: Gradients
@@ -56,6 +60,11 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_num: float = 1e-8
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = sum(a.size for a in self.m.weights + self.m.biases)
+        self.scratch = (np.empty(size), np.empty(size))
 
 
 def param_count(layer_sizes):
@@ -111,6 +120,25 @@ def init_adam_state(params, beta1=0.9, beta2=0.999, eps_num=1e-8):
     )
 
 
+def _layers(params, x, acts=None):
+    """The layer loop shared by forward, forward_batch and backward.
+
+    Works on a 1-D input or a batch of rows (`x @ w.T` is the same gemv as
+    `w @ x` for a 1-D x). Each layer's bias is added and its ReLU applied
+    in place. With `acts`, the post-activation output of every layer is
+    appended to it.
+    """
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        x = x @ w.T
+        x += b
+        if l < last:
+            np.maximum(x, 0.0, out=x)
+        if acts is not None:
+            acts.append(x)
+    return x
+
+
 def forward(params, observation):
     """Q-values for a single observation (1-D input, 1-D output)."""
     x = np.asarray(observation, dtype=float)
@@ -118,12 +146,7 @@ def forward(params, observation):
         raise ValueError(
             f"observation has shape {x.shape}, expected ({params.layer_sizes[0]},)"
         )
-    n = params.n_layers
-    for l in range(n):
-        x = params.weights[l] @ x + params.biases[l]
-        if l < n - 1:
-            np.maximum(x, 0.0, out=x)
-    return x
+    return _layers(params, x)
 
 
 def forward_batch(params, observations):
@@ -135,12 +158,7 @@ def forward_batch(params, observations):
         raise ValueError(
             f"batch width {x.shape[1]} != input size {params.layer_sizes[0]}"
         )
-    n = params.n_layers
-    for l in range(n):
-        x = x @ params.weights[l].T + params.biases[l]
-        if l < n - 1:
-            np.maximum(x, 0.0, out=x)
-    return x
+    return _layers(params, x)
 
 
 def huber_loss(td_error, kappa=1.0):
@@ -154,92 +172,107 @@ def huber_loss(td_error, kappa=1.0):
     return kappa * kappa * (np.sqrt(1.0 + (d / kappa) ** 2) - 1.0)
 
 
-def backward(params, batch_obs, actions, targets, kappa=1.0):
+def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
     """Gradients of mean pseudo-Huber TD loss over a batch.
 
     Loss = (1/B) * sum_i huber(Q(s_i, a_i) - target_i, kappa). Only the
     selected action's output unit receives loss signal per sample. Returns
-    (Gradients, mean_loss).
+    (Gradients, mean_loss). The gradients are written into `grads` when it
+    is given (a flat-backed workspace from zero_like_grads, reused across
+    steps) and into fresh arrays otherwise.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     x = np.asarray(batch_obs, dtype=float)
     actions = np.asarray(actions, dtype=int)
     targets = np.asarray(targets, dtype=float)
-    if not np.all(np.isfinite(targets)):
+    if not np.isfinite(targets).all():
         raise ValueError("non-finite targets")
     batch = x.shape[0]
     if actions.shape != (batch,) or targets.shape != (batch,):
         raise ValueError("actions/targets must be 1-D of batch length")
-    n_out = params.layer_sizes[-1]
-    if np.any(actions < 0) or np.any(actions >= n_out):
+    if (actions < 0).any() or (actions >= params.layer_sizes[-1]).any():
         raise ValueError("action id out of range")
 
-    n = params.n_layers
     # Forward pass, keeping post-activation values per layer.
     acts = [x]
-    h = x
-    for l in range(n):
-        h = h @ params.weights[l].T + params.biases[l]
-        if l < n - 1:
-            h = np.maximum(h, 0.0)
-        acts.append(h)
+    q = _layers(params, x, acts)
 
-    q_sel = acts[-1][np.arange(batch), actions]
-    delta = q_sel - targets
+    rows = np.arange(batch)
+    delta = q[rows, actions] - targets
     root = np.sqrt(1.0 + (delta / kappa) ** 2)
-    mean_loss = float(np.mean(kappa * kappa * (root - 1.0)))
+    # sum()/batch is bitwise equal to np.mean, with less call overhead.
+    mean_loss = float((kappa * kappa * (root - 1.0)).sum() / batch)
     dloss = delta / root / batch  # d mean_loss / d q_sel
 
-    # Backward pass, written straight into a flat-backed Gradients.
-    grads = zero_like_grads(params)
-    grad_out = np.zeros_like(acts[-1])
-    grad_out[np.arange(batch), actions] = dloss
-    d = grad_out
-    for l in range(n - 1, -1, -1):
+    if grads is None:
+        grads = zero_like_grads(params)
+    d = np.zeros(q.shape)
+    d[rows, actions] = dloss
+    for l in range(params.n_layers - 1, -1, -1):
         np.matmul(d.T, acts[l], out=grads.weights[l])
         d.sum(axis=0, out=grads.biases[l])
         if l > 0:
-            d = (d @ params.weights[l]) * (acts[l] > 0)
+            d = d @ params.weights[l]
+            d *= acts[l] > 0
     return grads, mean_loss
 
 
 def adam_step(params, grads, state, lr):
     """One Adam update with bias correction, in place.
 
+    The update is the exact form of Kingma & Ba (2015), with eps added to
+    the bias-corrected sqrt(v), not the shortcut that folds the corrections
+    into the step size. Temporaries go into state.scratch, so a step
+    allocates nothing the size of the parameters.
+
     Returns (params, state) for convenience. Refuses non-finite gradients.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    fused = (params.flat is not None and grads.flat is not None
-             and state.m.flat is not None and state.v.flat is not None)
-    if fused:
+    s1, s2 = state.scratch
+    if (params.flat is not None and grads.flat is not None
+            and state.m.flat is not None and state.v.flat is not None):
         if not np.isfinite(grads.flat).all():
             raise ValueError("non-finite gradients, update refused")
+        slots = [(params.flat, grads.flat, state.m.flat, state.v.flat, s1, s2)]
     else:
-        for g in grads.weights + grads.biases:
-            if not np.all(np.isfinite(g)):
+        grad_arrays = grads.weights + grads.biases
+        for g in grad_arrays:
+            if not np.isfinite(g).all():
                 raise ValueError("non-finite gradients, update refused")
+        slots = [
+            (theta, g, m, v, s1[:g.size].reshape(g.shape),
+             s2[:g.size].reshape(g.shape))
+            for theta, g, m, v in zip(
+                params.weights + params.biases, grad_arrays,
+                state.m.weights + state.m.biases,
+                state.v.weights + state.v.biases,
+            )
+        ]
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    if fused:
-        triples = [(params.flat, grads.flat, state.m.flat, state.v.flat)]
-    else:
-        triples = zip(
-            params.weights + params.biases,
-            grads.weights + grads.biases,
-            state.m.weights + state.m.biases,
-            state.v.weights + state.v.biases,
-        )
-    for theta, g, m, v in triples:
+    for theta, g, m, v, a, b in slots:
+        # m = b1*m + (1-b1)*g
+        np.multiply(g, 1.0 - b1, out=a)
         m *= b1
-        m += (1.0 - b1) * g
+        m += a
+        # v = b2*v + (1-b2)*g^2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps_num)
+        v += a
+        # theta -= lr * (m/corr1) / (sqrt(v/corr2) + eps)
+        np.divide(m, corr1, out=a)
+        a *= lr
+        np.divide(v, corr2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps_num
+        a /= b
+        theta -= a
     return params, state
 
 
@@ -267,19 +300,29 @@ def save_network(params, path):
 
 
 def load_network(path):
+    """Read a save_network() checkpoint. Raises ValueError unless the file
+    is exactly one network: right magic, a complete header, every weight
+    and nothing after the last bias."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a network checkpoint")
-        (count,) = struct.unpack("<I", fh.read(4))
-        layer_sizes = tuple(
-            int(n) for n in struct.unpack(f"<{count}I", fh.read(4 * count))
+        blob = fh.read()
+    header = len(CHECKPOINT_MAGIC) + 4
+    if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a network checkpoint")
+    if len(blob) < header:
+        raise ValueError(f"{path}: truncated header")
+    (count,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
+    if len(blob) < header + 4 * count:
+        raise ValueError(f"{path}: truncated header")
+    layer_sizes = struct.unpack_from(f"<{count}I", blob, header)
+    if count < 2 or min(layer_sizes) < 1:
+        raise ValueError(f"{path}: bad layer sizes {layer_sizes}")
+    body = len(blob) - header - 4 * count
+    expected = 8 * param_count(layer_sizes)
+    if body != expected:
+        kind = "truncated body" if body < expected else "trailing bytes"
+        raise ValueError(
+            f"{path}: {kind} ({body} bytes of parameters, expected {expected})"
         )
-        flat = np.zeros(param_count(layer_sizes))
-        weights, biases = _flat_views(flat, layer_sizes)
-        for fan_in, fan_out, w, b in zip(layer_sizes[:-1], layer_sizes[1:],
-                                         weights, biases):
-            w[:] = np.frombuffer(fh.read(8 * fan_out * fan_in),
-                                 dtype="<f8").reshape(fan_out, fan_in)
-            b[:] = np.frombuffer(fh.read(8 * fan_out), dtype="<f8")
+    flat = np.frombuffer(blob, dtype="<f8", offset=header + 4 * count).astype(float)
+    weights, biases = _flat_views(flat, layer_sizes)
     return NetworkParams(layer_sizes, weights, biases, flat)

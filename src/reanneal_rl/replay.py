@@ -7,6 +7,7 @@ intermediate Python objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class ReplayBuffer:
         """Insert one experience, evicting the oldest if full."""
         state = np.asarray(exp.state, dtype=float)
         next_state = np.asarray(exp.next_state, dtype=float)
-        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(next_state))
-                and np.isfinite(exp.reward)):
+        if not (np.isfinite(state).all() and np.isfinite(next_state).all()
+                and math.isfinite(exp.reward)):
             raise ValueError("non-finite experience fields")
         if exp.done and exp.timed_out:
             raise ValueError("done and timed_out are mutually exclusive")
@@ -96,12 +97,12 @@ class ReplayBuffer:
         training loop to avoid per-experience object overhead."""
         idx = self._sample_indices(batch_size, rng)
         return (
-            self._states[idx],
-            self._actions[idx],
-            self._rewards[idx],
-            self._next_states[idx],
-            self._dones[idx],
-            self._timed_out[idx],
+            self._states.take(idx, axis=0),
+            self._actions.take(idx),
+            self._rewards.take(idx),
+            self._next_states.take(idx, axis=0),
+            self._dones.take(idx),
+            self._timed_out.take(idx),
         )
 
     def _sample_indices(self, batch_size, rng):

@@ -223,6 +223,23 @@ class TestCheckpoint:
         assert np.array_equal(forward(loaded.target, s),
                               forward(agent.target, s))
 
+    def test_loaded_agent_trains_like_the_saved_one(self, tmp_path):
+        # Adam moments are not saved, so save before the first step, while
+        # they are still zero; the two agents must then stay bitwise equal.
+        agent = make_agent(seed=32)
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(agent, prefix)
+        loaded, _ = load_checkpoint(prefix)
+        buf = fill_buffer(agent)
+        for net in (agent, loaded):
+            rng = np.random.default_rng(5)
+            for _ in range(3):
+                assert net.train_step(buf, rng) is not None
+        assert loaded.optimizer.step_count == agent.optimizer.step_count == 3
+        assert np.array_equal(loaded.online.flat, agent.online.flat)
+        assert np.array_equal(loaded.target.flat, agent.target.flat)
+        assert np.array_equal(loaded.optimizer.v.flat, agent.optimizer.v.flat)
+
     def test_load_accepts_meta_path(self, tmp_path):
         agent = make_agent(seed=31)
         prefix = str(tmp_path / "ckpt")
@@ -238,3 +255,7 @@ def test_config_validation():
         AgentConfig(batch_size=0)
     with pytest.raises(ValueError):
         AgentConfig(target_sync_period_episodes=0)
+    with pytest.raises(ValueError):
+        AgentConfig(learning_rate=0.0)
+    with pytest.raises(ValueError):
+        AgentConfig(kappa=-1.0)

@@ -91,6 +91,37 @@ class TestCli:
         printed = capsys.readouterr().out
         assert re.search(r"-?\d+\.\d+ \+- \d+\.\d+", printed)
 
+    def test_eval_truncated_checkpoint_reports_one_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                  "--seed", "2", "--out", str(out)])
+        net = out / "final.online.net"
+        net.write_bytes(net.read_bytes()[:12])  # cut inside the header
+        capsys.readouterr()
+        code = cli_main(["eval", "--checkpoint", str(out / "final")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "truncated header" in err[0]
+
+    def test_out_of_range_decay_rate_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                         "--decay-rate", "1.5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "decay_rate" in err[0]
+        assert not out.exists()
+
+    def test_out_of_range_config_file_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nenv = hovertrap\nstuck_threshold = 0\n")
+        out = tmp_path / "run"
+        code = cli_main(["train", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "stuck_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"
         cli_main(["train", "--env", "hovertrap", "--episodes", "5",

@@ -209,6 +209,41 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "decay_rate", "1.5"),
+        ("run", "decay_rate", "0"),
+        ("run", "epsilon_min", "-0.1"),
+        ("run", "epsilon_min", "1.01"),
+        ("run", "stuck_threshold", "0"),
+        ("run", "replay_capacity", "63"),
+        ("run", "episodes", "0"),
+        ("agent", "batch_size", "501"),
+        ("agent", "gamma", "1.5"),
+        ("agent", "learning_rate", "-1"),
+        ("agent", "kappa", "0"),
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
+        path = tmp_path / "c.cfg"
+        header = "" if section == "run" else f"[{section}]\n"
+        path.write_text(f"[run]\nenv = hovertrap\n{header}{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
+
+    def test_in_range_edges_accepted(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("[run]\nenv = hovertrap\ndecay_rate = 1\n"
+                        "epsilon_min = 0\nstuck_threshold = 1\n"
+                        "replay_capacity = 64\n")
+        config = load_config(path)
+        assert (config.decay_rate, config.epsilon_min, config.stuck_threshold,
+                config.replay_capacity) == (1.0, 0.0, 1, 64)
+
+    def test_run_config_validation(self):
+        with pytest.raises(ValueError):
+            RunConfig(decay_rate=1.01)
+        with pytest.raises(ValueError):
+            RunConfig(replay_capacity=8, agent=AgentConfig(batch_size=16))
+
     def test_defaults_per_env(self):
         assert default_config("lander").episodes == 10_000
         assert default_config("hovertrap").episodes == 2_000

@@ -261,6 +261,89 @@ class TestAdam:
         assert state.step_count == 0
 
 
+def per_array(params):
+    """A copy of params whose arrays are separate, not views of a flat
+    buffer, so adam_step takes its per-array path."""
+    return NetworkParams(params.layer_sizes,
+                         [w.copy() for w in params.weights],
+                         [b.copy() for b in params.biases])
+
+
+class TestLeanPathsEquivalence:
+    """The workspace and fused code paths must do exactly the arithmetic of
+    the plain per-array formulas."""
+
+    def test_fused_and_per_array_adam_bitwise_equal(self):
+        rng = np.random.default_rng(60)
+        fused = small_net(rng)
+        split = per_array(fused)
+        ref = per_array(fused)
+        ref_m = [np.zeros_like(a) for a in ref.weights + ref.biases]
+        ref_v = [np.zeros_like(a) for a in ref.weights + ref.biases]
+        fused_state = init_adam_state(fused)
+        split_state = init_adam_state(split)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        for t in range(1, 6):
+            g = small_net(rng)  # random values in gradient shapes
+            grads = mlp.Gradients(g.weights, g.biases, g.flat)
+            adam_step(fused, grads, fused_state, lr)
+            adam_step(split, per_array(g), split_state, lr)
+            # Textbook form, written out with fresh temporaries.
+            for theta, gr, m, v in zip(ref.weights + ref.biases,
+                                       g.weights + g.biases, ref_m, ref_v):
+                m *= b1
+                m += (1.0 - b1) * gr
+                v *= b2
+                v += (1.0 - b2) * (gr * gr)
+                theta -= lr * (m / (1.0 - b1**t)) / (
+                    np.sqrt(v / (1.0 - b2**t)) + eps)
+        for state in (fused_state, split_state):
+            assert state.step_count == 5
+        for name in ("weights", "biases"):
+            for a, b, c in zip(getattr(fused, name), getattr(split, name),
+                               getattr(ref, name)):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+        for fused_m, split_m, ref_list in ((fused_state.m, split_state.m, ref_m),
+                                           (fused_state.v, split_state.v, ref_v)):
+            for a, b, c in zip(fused_m.weights + fused_m.biases,
+                               split_m.weights + split_m.biases, ref_list):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_backward_into_workspace_matches_fresh(self):
+        rng = np.random.default_rng(61)
+        p = small_net(rng)
+        ws = mlp.zero_like_grads(p)
+        ws.flat[:] = np.nan  # stale contents must be overwritten
+        buffer = ws.flat
+        for _ in range(3):
+            batch = rng.normal(size=(6, 5))
+            actions = rng.integers(0, 3, size=6)
+            targets = rng.normal(size=6)
+            fresh, loss = backward(p, batch, actions, targets, kappa=0.7)
+            into, loss_ws = backward(p, batch, actions, targets, kappa=0.7,
+                                     grads=ws)
+            assert into is ws and ws.flat is buffer
+            assert loss_ws == loss
+            assert np.array_equal(ws.flat, fresh.flat)
+            for a, b in zip(ws.weights + ws.biases,
+                            fresh.weights + fresh.biases):
+                assert np.shares_memory(a, buffer)
+                assert np.array_equal(a, b)
+
+    def test_backward_without_workspace_returns_fresh_arrays(self):
+        rng = np.random.default_rng(62)
+        p = small_net(rng)
+        batch = rng.normal(size=(4, 5))
+        actions = rng.integers(0, 3, size=4)
+        g1, _ = backward(p, batch, actions, rng.normal(size=4))
+        g2, _ = backward(p, batch, actions, rng.normal(size=4))
+        assert not np.shares_memory(g1.flat, g2.flat)
+        for a in g1.weights + g1.biases:
+            for b in g2.weights + g2.biases:
+                assert not np.shares_memory(a, b)
+        assert not np.array_equal(g1.flat, g2.flat)
+
+
 class TestCloneParams:
     def test_mutating_clone_leaves_original(self):
         rng = np.random.default_rng(30)
@@ -311,6 +394,31 @@ class TestCheckpointFormat:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTNET" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            mlp.load_network(path)
+
+    def saved_blob(self, tmp_path):
+        path = tmp_path / "net.bin"
+        mlp.save_network(small_net(np.random.default_rng(41)), path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("keep", [7, 9, 14, 20])
+    def test_short_header_rejected(self, tmp_path, keep):
+        # magic + count is 10 bytes, the four layer sizes end at byte 26
+        path, blob = self.saved_blob(tmp_path)
+        path.write_bytes(blob[:keep])
+        with pytest.raises(ValueError, match="truncated header"):
+            mlp.load_network(path)
+
+    def test_short_body_rejected(self, tmp_path):
+        path, blob = self.saved_blob(tmp_path)
+        path.write_bytes(blob[:-8])
+        with pytest.raises(ValueError, match="truncated body"):
+            mlp.load_network(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self.saved_blob(tmp_path)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
             mlp.load_network(path)
 
 
