@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,6 +152,11 @@ def load_checkpoint(prefix):
             if line:
                 key, _, value = line.partition("=")
                 meta[key] = value
+    missing = [f.name for f in fields(AgentConfig) if f.name not in meta]
+    if missing:
+        raise ValueError(
+            f"checkpoint metadata {prefix}.meta lacks {', '.join(missing)}"
+        )
     config = AgentConfig(
         gamma=float(meta["gamma"]),
         learning_rate=float(meta["learning_rate"]),

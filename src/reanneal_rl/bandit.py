@@ -8,6 +8,7 @@ is accumulated against the true arm means, not the noisy rewards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ class BanditSpec:
         self.arm_means = np.asarray(self.arm_means, dtype=float)
         if self.arm_means.shape[0] < 2:
             raise ValueError("need at least 2 arms")
+        if not np.isfinite(self.arm_means).all():
+            raise ValueError(f"arm means must be finite, got {self.arm_means}")
+        self.noise_std = float(self.noise_std)
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}"
+            )
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
@@ -72,33 +80,46 @@ def run_bandit(spec, strategy, rng):
 
     Value estimates are incremental sample means initialized at zero. The
     per-step regret is best-mean minus the true mean of the pulled arm.
+    Greedy picks take the first maximal estimate, as np.argmax does.
+
+    The loop runs on Python floats, ints and lists: the same IEEE double
+    arithmetic as numpy scalars at a fraction of the call cost. Drawing the
+    random numbers in blocks would reorder the stream and change every curve.
     """
-    n_arms = spec.arm_means.shape[0]
-    best_mean = float(spec.arm_means.max())
-    estimates = np.zeros(n_arms)
-    pulls = np.zeros(n_arms, dtype=np.int64)
-    if isinstance(strategy, DecayingEps):
+    if isinstance(strategy, Greedy):
+        eps, c = 0.0, None
+    elif isinstance(strategy, ConstantEps):
+        eps, c = strategy.epsilon, None
+    elif isinstance(strategy, DecayingEps):
+        c = strategy.c
         gap_sq = gap(spec) ** 2
+        if gap_sq == 0.0:
+            raise ValueError("gap too small for DecayingEps: its square is 0")
+    else:
+        raise TypeError(f"unknown strategy {strategy!r}")
+    means = spec.arm_means.tolist()
+    n_arms = len(means)
+    best_mean = float(spec.arm_means.max())
+    noise_std = spec.noise_std
+    estimates = [0.0] * n_arms
+    pulls = [0] * n_arms
+    random, integers, standard_normal = (
+        rng.random, rng.integers, rng.standard_normal
+    )
     regret = np.empty(spec.horizon)
     total = 0.0
     for t in range(1, spec.horizon + 1):
-        if isinstance(strategy, Greedy):
-            eps = 0.0
-        elif isinstance(strategy, ConstantEps):
-            eps = strategy.epsilon
-        elif isinstance(strategy, DecayingEps):
-            eps = min(1.0, strategy.c / (gap_sq * t))
+        if c is not None:
+            eps = min(1.0, c / (gap_sq * t))
+        if eps > 0.0 and random() < eps:
+            arm = int(integers(0, n_arms))
         else:
-            raise TypeError(f"unknown strategy {strategy!r}")
-        if eps > 0.0 and rng.random() < eps:
-            arm = int(rng.integers(0, n_arms))
-        else:
-            arm = int(np.argmax(estimates))
-        reward = spec.arm_means[arm]
-        if spec.noise_std > 0.0:
-            reward += spec.noise_std * rng.standard_normal()
+            arm = estimates.index(max(estimates))
+        reward = means[arm]
+        if noise_std > 0.0:
+            reward += noise_std * standard_normal()
         pulls[arm] += 1
         estimates[arm] += (reward - estimates[arm]) / pulls[arm]
-        total += best_mean - spec.arm_means[arm]
+        total += best_mean - means[arm]
         regret[t - 1] = total
     return RegretCurve(regret)

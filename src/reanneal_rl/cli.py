@@ -24,6 +24,7 @@ from .harness import evaluate_greedy, read_metrics_csv, run_training
 from .plotting import emit_reward_plot
 
 SEED_ENV_VAR = "REANNEAL_RL_SEED"
+_CSV_CHUNK_ROWS = 256   # regret.csv rows formatted per write
 
 
 def build_parser():
@@ -107,6 +108,8 @@ def _cmd_train(args):
 
 
 def _cmd_bandit(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     spec = bandit_mod.BanditSpec(
         arm_means=[0.0, 1.0], noise_std=0.1, horizon=args.horizon
     )
@@ -115,20 +118,25 @@ def _cmd_bandit(args):
         ("regret_const", bandit_mod.ConstantEps(0.1)),
         ("regret_decay", bandit_mod.DecayingEps(10.0)),
     ]
-    curves = {}
-    for name, strategy in strategies:
+    columns = []
+    for _, strategy in strategies:
         total = np.zeros(args.horizon)
         for seed in range(args.seeds):
             rng = np.random.default_rng(seed)
             total += bandit_mod.run_bandit(spec, strategy, rng).cumulative_regret
-        curves[name] = total / args.seeds
+        columns.append(total / args.seeds)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "regret.csv")
+    row_format = "%d" + ",%.6g" * len(columns) + "\n"
     with open(path, "w") as fh:
         fh.write("t," + ",".join(name for name, _ in strategies) + "\n")
-        for t in range(args.horizon):
-            row = ",".join(f"{curves[name][t]:.6g}" for name, _ in strategies)
-            fh.write(f"{t + 1},{row}\n")
+        # Chunks of Python floats format fast; small chunks keep peak memory
+        # flat.
+        for start in range(0, args.horizon, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, args.horizon)
+            rows = zip(range(start + 1, stop + 1),
+                       *(column[start:stop].tolist() for column in columns))
+            fh.write("".join([row_format % row for row in rows]))
     print(f"wrote {path} ({args.seeds} seeds, horizon {args.horizon})")
     return 0
 

@@ -15,6 +15,22 @@ def two_arm_spec(horizon=10_000, noise=0.1):
     return BanditSpec(arm_means=[0.0, 1.0], noise_std=noise, horizon=horizon)
 
 
+class TestBanditSpec:
+    @pytest.mark.parametrize("means", [[0.0, np.nan], [np.inf, 1.0],
+                                       [0.0, -np.inf, 1.0]])
+    def test_non_finite_arm_means_rejected(self, means):
+        with pytest.raises(ValueError, match="finite"):
+            BanditSpec(means)
+
+    @pytest.mark.parametrize("noise", [-0.5, np.nan, np.inf])
+    def test_negative_or_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_std"):
+            BanditSpec([0.0, 1.0], noise_std=noise)
+
+    def test_zero_noise_accepted(self):
+        assert BanditSpec([0.0, 1.0], noise_std=0).noise_std == 0.0
+
+
 class TestGap:
     def test_three_arms(self):
         assert gap(BanditSpec([1.0, 0.5, 0.2])) == pytest.approx(0.5)
@@ -22,6 +38,12 @@ class TestGap:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             gap(BanditSpec([3.0, 3.0, 1.0]))
+
+    def test_gap_whose_square_underflows_rejected_by_decaying_eps(self):
+        spec = BanditSpec([0.0, 1e-200], noise_std=0.0, horizon=10)
+        assert gap(spec) == 1e-200
+        with pytest.raises(ValueError, match="too small"):
+            run_bandit(spec, DecayingEps(1.0), np.random.default_rng(0))
 
     def test_two_arms(self):
         assert gap(BanditSpec([0.9, 0.1])) == pytest.approx(0.8)
@@ -108,3 +130,10 @@ class TestRunBandit:
             DecayingEps(0.0)
         with pytest.raises(TypeError):
             run_bandit(two_arm_spec(10), "greedy", np.random.default_rng(0))
+
+    def test_unknown_strategy_raises_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            run_bandit(two_arm_spec(10), "greedy", rng)
+        assert rng.bit_generator.state == state

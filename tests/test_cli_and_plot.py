@@ -104,6 +104,20 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "truncated header" in err[0]
 
+    def test_eval_meta_missing_a_key_reports_one_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                  "--seed", "2", "--out", str(out)])
+        meta = out / "final.meta"
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(l for l in lines if not l.startswith("gamma=")))
+        capsys.readouterr()
+        code = cli_main(["eval", "--checkpoint", str(out / "final")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "gamma" in err[0] and "final.meta" in err[0]
+
     def test_out_of_range_decay_rate_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
@@ -140,6 +154,16 @@ class TestCli:
         lines = (out / "regret.csv").read_text().splitlines()
         assert lines[0] == "t,regret_greedy,regret_const,regret_decay"
         assert len(lines) == 201
+
+    def test_bandit_zero_seeds_reports_one_error(self, tmp_path, capsys):
+        out = tmp_path / "bandit"
+        code = cli_main(["bandit", "--horizon", "50", "--seeds", "0",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--seeds" in err[0]
+        assert not (out / "regret.csv").exists()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,6 +1,7 @@
-"""Golden trace: fixed-seed HoverTrap runs must reproduce committed metrics.
+"""Golden traces: fixed-seed runs must reproduce committed outputs.
 
-The CSVs under tests/data/ were written by
+HoverTrap training metrics: golden_hovertrap_*.csv under tests/data/ were
+written by
 
     reanneal-rl train --env hovertrap --decay-rate 0.9 --episodes 150 --seed 0 \
         [--no-reanneal]
@@ -9,6 +10,13 @@ before the train step was rewritten for speed. Integer columns and the
 reanneal flag must match exactly. Float columns match to rel 1e-6 (abs 1e-12
 for losses that are round-off noise), not bitwise, because OpenBLAS can pick
 different kernels on other CPUs. wall_time_ms is not compared.
+
+Bandit regret curves: golden_regret.csv was written by
+
+    reanneal-rl bandit --horizon 2000 --seeds 3
+
+before run_bandit and the regret.csv writer were rewritten for speed. The
+bandit simulation runs no BLAS, so its output must match byte for byte.
 """
 
 from pathlib import Path
@@ -48,3 +56,24 @@ def test_metrics_match_golden_trace(tmp_path, capsys, golden, flags):
         assert fired == 0
     else:
         assert fired >= 1
+
+
+def _bandit(tmp_path, horizon, seeds):
+    out = tmp_path / f"bandit-{horizon}"
+    assert cli_main(["bandit", "--horizon", str(horizon), "--seeds",
+                     str(seeds), "--out", str(out)]) == 0
+    return (out / "regret.csv").read_bytes()
+
+
+def test_regret_csv_matches_golden_bytes(tmp_path, capsys):
+    assert _bandit(tmp_path, 2000, 3) == (DATA / "golden_regret.csv").read_bytes()
+
+
+@pytest.mark.parametrize("horizon", [1, 256, 257, 1024, 1025])
+def test_regret_csv_rows_at_chunk_edges(tmp_path, capsys, horizon):
+    lines = _bandit(tmp_path, horizon, 1).decode().split("\n")
+    assert lines[-1] == ""   # ends with a newline
+    rows = lines[1:-1]
+    assert [int(row.split(",")[0]) for row in rows] == list(
+        range(1, horizon + 1))
+    assert all(len(row.split(",")) == 4 for row in rows)
