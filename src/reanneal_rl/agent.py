@@ -2,82 +2,54 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import mlp
+from .config import AgentConfig, parse_fields
 from .mlp import clone_params, forward, forward_batch
-
-
-@dataclass
-class AgentConfig:
-    gamma: float = 0.99
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    target_sync_period_episodes: int = 20
-    double_dqn: bool = True
-    kappa: float = 1.0
-    min_replay_before_training: int = 1000
-
-    def __post_init__(self):
-        if not 0 <= self.gamma < 1:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.target_sync_period_episodes < 1:
-            raise ValueError("target_sync_period_episodes must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
 
 class Agent:
     """Online network, frozen target copy, Adam state.
 
-    `online` and `target` default to a fresh He-uniform init and its copy;
-    load_checkpoint passes the loaded networks instead. The agent also owns
-    the per-step workspaces: a flat-backed gradient buffer that backward
-    fills in place, and the batch row index.
+    `online`, `target` and `optimizer` default to a fresh He-uniform init,
+    its copy and zero Adam moments; load_checkpoint passes the loaded ones
+    instead. The agent also owns the per-step workspaces: a gradient buffer
+    that backward fills in place, and the batch row index.
     """
 
-    def __init__(self, config, layer_sizes, rng=None, online=None, target=None):
+    def __init__(self, config, layer_sizes, rng=None, online=None, target=None,
+                 optimizer=None):
         self.config = config
         self.online = mlp.init_params(layer_sizes, rng) if online is None else online
         self.target = clone_params(self.online) if target is None else target
-        if self.target.layer_sizes != self.online.layer_sizes:
-            raise ValueError(
-                f"target layer sizes {self.target.layer_sizes} != online "
-                f"layer sizes {self.online.layer_sizes}"
-            )
-        self.optimizer = mlp.init_adam_state(self.online)
+        self.optimizer = (mlp.init_adam_state(self.online) if optimizer is None
+                          else optimizer)
+        for name, net in (("target", self.target), ("Adam m", self.optimizer.m),
+                          ("Adam v", self.optimizer.v)):
+            if net.layer_sizes != self.online.layer_sizes:
+                raise ValueError(
+                    f"{name} layer sizes {net.layer_sizes} != online "
+                    f"layer sizes {self.online.layer_sizes}"
+                )
         self.episodes_since_sync = 0
-        self._grads = mlp.zero_like_grads(self.online)
+        self._grads = mlp.NetworkParams(self.online.layer_sizes)
         self._rows = np.arange(config.batch_size)
 
     def greedy_action(self, observation):
         """Argmax over online Q-values, lowest index on ties."""
         return int(np.argmax(forward(self.online, observation)))
 
-    def compute_targets(self, batch):
-        """Bootstrap targets for a list of experiences.
+    def _targets(self, rewards, next_states, dones, rows):
+        """Bootstrap targets for a batch; `rows` is np.arange(batch).
 
         Double DQN selects the bootstrap action with the online network and
         evaluates it with the target network; plain DQN takes the max over
         the target network. Genuine terminals (done) do not bootstrap;
         timed-out transitions do.
         """
-        if not batch:
-            raise ValueError("empty batch")
-        rewards = np.array([e.reward for e in batch])
-        next_states = np.stack([e.next_state for e in batch])
-        dones = np.array([e.done for e in batch], dtype=bool)
-        return self._targets(rewards, next_states, dones, np.arange(len(batch)))
-
-    def _targets(self, rewards, next_states, dones, rows):
         q_target = forward_batch(self.target, next_states)
         if self.config.double_dqn:
             best = forward_batch(self.online, next_states).argmax(axis=1)
@@ -116,21 +88,17 @@ class Agent:
 
 
 def save_checkpoint(agent, prefix, episode=0, extra=None):
-    """Write <prefix>.online.net and <prefix>.target.net (binary network
-    format) plus <prefix>.meta, a key=value text header with agent metadata."""
+    """Write <prefix>.online.net, <prefix>.target.net and the Adam moments
+    <prefix>.adam_m.net and <prefix>.adam_v.net (binary network format),
+    plus <prefix>.meta, a key=value text header with the agent config, the
+    episode and the Adam step count."""
     mlp.save_network(agent.online, prefix + ".online.net")
     mlp.save_network(agent.target, prefix + ".target.net")
-    meta = {
-        "gamma": agent.config.gamma,
-        "learning_rate": agent.config.learning_rate,
-        "batch_size": agent.config.batch_size,
-        "target_sync_period_episodes": agent.config.target_sync_period_episodes,
-        "double_dqn": int(agent.config.double_dqn),
-        "kappa": agent.config.kappa,
-        "min_replay_before_training": agent.config.min_replay_before_training,
-        "episode": episode,
-        "adam_step_count": agent.optimizer.step_count,
-    }
+    mlp.save_network(agent.optimizer.m, prefix + ".adam_m.net")
+    mlp.save_network(agent.optimizer.v, prefix + ".adam_v.net")
+    meta = {key: int(value) if isinstance(value, bool) else value
+            for key, value in asdict(agent.config).items()}
+    meta.update(episode=episode, adam_step_count=agent.optimizer.step_count)
     if extra:
         meta.update(extra)
     with open(prefix + ".meta", "w") as fh:
@@ -139,35 +107,30 @@ def save_checkpoint(agent, prefix, episode=0, extra=None):
 
 
 def load_checkpoint(prefix):
-    """Rebuild an agent from save_checkpoint() output.
+    """Rebuild an agent, Adam state included, from save_checkpoint() output.
 
-    Accepts the prefix or the .meta path. Returns (agent, meta dict); the
-    Adam moment accumulators are not persisted and start fresh."""
-    if prefix.endswith(".meta"):
-        prefix = prefix[: -len(".meta")]
-    meta = {}
-    with open(prefix + ".meta") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-    missing = [f.name for f in fields(AgentConfig) if f.name not in meta]
+    Accepts the prefix or the .meta path. Returns (agent, meta dict)."""
+    prefix = prefix.removesuffix(".meta")
+    path = prefix + ".meta"
+    with open(path) as fh:
+        pairs = (line.strip().partition("=") for line in fh if line.strip())
+        meta = {key: value for key, _, value in pairs}
+    names = [f.name for f in fields(AgentConfig)]
+    missing = [name for name in names + ["adam_step_count"] if name not in meta]
     if missing:
-        raise ValueError(
-            f"checkpoint metadata {prefix}.meta lacks {', '.join(missing)}"
-        )
-    config = AgentConfig(
-        gamma=float(meta["gamma"]),
-        learning_rate=float(meta["learning_rate"]),
-        batch_size=int(meta["batch_size"]),
-        target_sync_period_episodes=int(meta["target_sync_period_episodes"]),
-        double_dqn=bool(int(meta["double_dqn"])),
-        kappa=float(meta["kappa"]),
-        min_replay_before_training=int(meta["min_replay_before_training"]),
-    )
+        raise ValueError(f"checkpoint metadata {path} lacks {', '.join(missing)}")
+    config = AgentConfig(**parse_fields(
+        AgentConfig, {name: meta[name] for name in names}, path))
+    try:
+        step_count = int(meta["adam_step_count"])
+    except ValueError:
+        raise ValueError(f"{path}: adam_step_count = "
+                         f"{meta['adam_step_count']!r} is not a valid int") from None
     online = mlp.load_network(prefix + ".online.net")
+    optimizer = mlp.AdamState(m=mlp.load_network(prefix + ".adam_m.net"),
+                              v=mlp.load_network(prefix + ".adam_v.net"),
+                              step_count=step_count)
     agent = Agent(config, online.layer_sizes, online=online,
-                  target=mlp.load_network(prefix + ".target.net"))
-    agent.optimizer.step_count = int(meta.get("adam_step_count", 0))
+                  target=mlp.load_network(prefix + ".target.net"),
+                  optimizer=optimizer)
     return agent, meta

@@ -66,10 +66,7 @@ def build_parser():
 def _resolve_seed(args_seed):
     if args_seed is not None:
         return args_seed
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        return int(env_seed)
-    return 0
+    return int(os.environ.get(SEED_ENV_VAR, 0))
 
 
 def _cmd_train(args):
@@ -179,3 +176,7 @@ def cli_main(argv=None):
 
 def main():
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

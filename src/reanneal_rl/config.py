@@ -1,4 +1,5 @@
-"""Run configuration and the flat key=value config-file format.
+"""Run and agent configuration, the INI config-file format, and the typed
+parser of key=value text that config files and checkpoint metadata share.
 
 Config files are INI-style: a [run] section for harness/exploration settings
 and an [agent] section for learner hyperparameters. The same format is used
@@ -10,8 +11,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .agent import AgentConfig
-
 ENV_DEFAULTS = {
     # episodes, hidden sizes, replay capacity, learning rate, min replay
     "lander": (10_000, (200, 60), 1_000_000, 0.01, 1000),
@@ -21,6 +20,31 @@ ENV_DEFAULTS = {
     # genuinely requires renewed exploration.
     "hovertrap": (2_000, (32,), 500, 0.003, 64),
 }
+
+
+@dataclass
+class AgentConfig:
+    gamma: float = 0.99
+    learning_rate: float = 0.01
+    batch_size: int = 64
+    target_sync_period_episodes: int = 20
+    double_dqn: bool = True
+    kappa: float = 1.0
+    min_replay_before_training: int = 1000
+
+    def __post_init__(self):
+        if not 0 <= self.gamma < 1:
+            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.target_sync_period_episodes < 1:
+            raise ValueError("target_sync_period_episodes must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(
+                f"learning_rate must be positive, got {self.learning_rate}"
+            )
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
 
 @dataclass
@@ -91,19 +115,23 @@ _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
             "tuple": _parse_sizes}
 
 
-def _section_values(parser, section, cls, path, skip=()):
-    """The [section] keys of a config file, parsed by the type of the
-    matching field of `cls`."""
+def parse_fields(cls, values, source):
+    """Parse a key -> text mapping by the field types of the dataclass `cls`.
+
+    Returns the parsed values by key. An unknown key or a text that does not
+    parse raises ValueError naming `source` (the file), the key and the text.
+    """
     types = {f.name: f.type for f in fields(cls) if f.type in _PARSERS}
-    values = {}
-    if parser.has_section(section):
-        for key, raw in parser.items(section):
-            if key in skip:
-                continue
-            if key not in types:
-                raise ValueError(f"unknown [{section}] key {key!r} in {path}")
-            values[key] = _PARSERS[types[key]](raw)
-    return values
+    parsed = {}
+    for key, raw in values.items():
+        if key not in types:
+            raise ValueError(f"unknown key {key!r} in {source}")
+        try:
+            parsed[key] = _PARSERS[types[key]](raw)
+        except ValueError:
+            raise ValueError(f"{source}: {key} = {raw!r} is not a valid "
+                             f"{types[key]}") from None
+    return parsed
 
 
 def load_config(path):
@@ -112,9 +140,11 @@ def load_config(path):
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
-    config = default_config(parser.get("run", "env", fallback="lander"))
-    run = _section_values(parser, "run", RunConfig, path, skip=("env",))
-    agent = _section_values(parser, "agent", AgentConfig, path)
+    sections = {name: dict(parser.items(name)) if parser.has_section(name)
+                else {} for name in ("run", "agent")}
+    config = default_config(sections["run"].pop("env", "lander"))
+    run = parse_fields(RunConfig, sections["run"], path)
+    agent = parse_fields(AgentConfig, sections["agent"], path)
     return replace(config, agent=replace(config.agent, **agent), **run)
 
 

@@ -84,13 +84,12 @@ class StuckCounter:
 
 
 def select_epsilon_greedy(q_values, schedule, rng):
-    """Greedy action with probability 1-eps, else uniform over all actions
-    (the greedy one included). Ties break to the lowest index."""
+    """Greedy action with probability 1 - schedule.epsilon, else uniform over
+    all actions (the greedy one included). Ties break to the lowest index."""
     q = np.asarray(q_values, dtype=float)
     if q.ndim != 1 or q.shape[0] < 1:
         raise ValueError("q_values must be a non-empty vector")
-    eps = schedule.epsilon if hasattr(schedule, "epsilon") else float(schedule)
-    if rng.random() < eps:
+    if rng.random() < schedule.epsilon:
         return int(rng.integers(0, q.shape[0]))
     return int(np.argmax(q))
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import agent as agent_mod
 from . import mlp
 from .agent import Agent
-from .config import save_config
+from .config import parse_fields, save_config
 from .envs import make_env
 from .explore import EpsilonSchedule, StuckCounter, select_epsilon_greedy
 from .replay import Experience, ReplayBuffer
@@ -73,6 +73,7 @@ def write_metrics_csv(records, path):
 
 
 def read_metrics_csv(path):
+    names = [f.name for f in fields(EpisodeRecord)]
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -80,18 +81,10 @@ def read_metrics_csv(path):
             raise ValueError(f"{path}: unexpected metrics header {header!r}")
         for line in fh:
             cols = line.strip().split(",")
-            if len(cols) != 8:
+            if len(cols) != len(names):
                 raise ValueError(f"{path}: malformed row {line!r}")
             records.append(EpisodeRecord(
-                episode_index=int(cols[0]),
-                step_count=int(cols[1]),
-                total_reward=float(cols[2]),
-                epsilon_at_end=float(cols[3]),
-                stuck_count=int(cols[4]),
-                reannealed_this_episode=bool(int(cols[5])),
-                mean_loss=float(cols[6]),
-                wall_time_ms=float(cols[7]),
-            ))
+                **parse_fields(EpisodeRecord, dict(zip(names, cols)), path)))
     return records
 
 

@@ -17,20 +17,50 @@ DEFAULT_LAYER_SIZES = (8, 200, 60, 4)
 CHECKPOINT_MAGIC = b"RQNET1"
 
 
+# Adam hyperparameters (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class NetworkParams:
-    """Weights and biases of the MLP.
+    """Weights and biases of the MLP, or any array set of the same shapes
+    (gradients, Adam moments).
 
     weights[l] has shape (layer_sizes[l+1], layer_sizes[l]), biases[l] has
-    length layer_sizes[l+1]. When `flat` is set, the per-layer arrays are
-    views into that single 1-D buffer, which lets the optimizer update every
-    parameter with a few whole-buffer vector operations.
+    length layer_sizes[l+1]. Both are views into the single 1-D buffer
+    `flat`, layer by layer in the order w0, b0, w1, b1, ..., which lets the
+    optimizer update every parameter with a few whole-buffer operations.
+    Given `flat`, the views share it; given `weights` and `biases` lists,
+    their values are copied into a new buffer; given neither, all are zero.
     """
 
     layer_sizes: tuple
-    weights: list = field(repr=False)
-    biases: list = field(repr=False)
+    weights: list = field(default=None, repr=False)
+    biases: list = field(default=None, repr=False)
     flat: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat = np.zeros(param_count(self.layer_sizes))
+        given = None if self.weights is None else self.weights + self.biases
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            self.weights.append(self.flat[offset:offset + fan_out * fan_in]
+                                .reshape(fan_out, fan_in))
+            offset += fan_out * fan_in
+            self.biases.append(self.flat[offset:offset + fan_out])
+            offset += fan_out
+        if given is not None:
+            views = self.weights + self.biases
+            shapes = [np.shape(a) for a in given]
+            if shapes != [view.shape for view in views]:
+                raise ValueError(f"weight and bias shapes {shapes} do not "
+                                 f"match layer sizes {self.layer_sizes}")
+            for view, values in zip(views, given):
+                view[...] = values
 
     @property
     def n_layers(self):
@@ -38,33 +68,20 @@ class NetworkParams:
 
 
 @dataclass
-class Gradients:
-    """Per-parameter partials, shape-congruent with NetworkParams."""
-
-    weights: list
-    biases: list
-    flat: np.ndarray = field(default=None, repr=False)
-
-
-@dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters.
+    """First/second moment accumulators and the step count.
 
     `scratch` holds two buffers of the parameter count that adam_step
     writes its temporaries into; they carry no state between steps.
     """
 
-    m: Gradients
-    v: Gradients
+    m: NetworkParams
+    v: NetworkParams
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_num: float = 1e-8
     scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = sum(a.size for a in self.m.weights + self.m.biases)
-        self.scratch = (np.empty(size), np.empty(size))
+        self.scratch = (np.empty(self.m.flat.size), np.empty(self.m.flat.size))
 
 
 def param_count(layer_sizes):
@@ -74,20 +91,6 @@ def param_count(layer_sizes):
     )
 
 
-def _flat_views(flat, layer_sizes):
-    """Slice a flat buffer into (weights, biases) view lists, layer by layer
-    in the order w0, b0, w1, b1, ..."""
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(flat[offset:offset + fan_out * fan_in]
-                       .reshape(fan_out, fan_in))
-        offset += fan_out * fan_in
-        biases.append(flat[offset:offset + fan_out])
-        offset += fan_out
-    return weights, biases
-
-
 def init_params(layer_sizes=DEFAULT_LAYER_SIZES, rng=None):
     """He-uniform weight init (bound sqrt(6/fan_in)), zero biases."""
     if rng is None:
@@ -95,29 +98,16 @@ def init_params(layer_sizes=DEFAULT_LAYER_SIZES, rng=None):
     layer_sizes = tuple(int(n) for n in layer_sizes)
     if len(layer_sizes) < 2 or any(n < 1 for n in layer_sizes):
         raise ValueError(f"bad layer sizes {layer_sizes}")
-    flat = np.zeros(param_count(layer_sizes))
-    weights, biases = _flat_views(flat, layer_sizes)
-    for fan_in, w in zip(layer_sizes[:-1], weights):
+    params = NetworkParams(layer_sizes)
+    for fan_in, w in zip(layer_sizes[:-1], params.weights):
         bound = np.sqrt(6.0 / fan_in)
         w[:] = rng.uniform(-bound, bound, size=w.shape)
-    return NetworkParams(layer_sizes, weights, biases, flat)
+    return params
 
 
-def zero_like_grads(params):
-    flat = np.zeros(param_count(params.layer_sizes))
-    weights, biases = _flat_views(flat, params.layer_sizes)
-    return Gradients(weights, biases, flat)
-
-
-def init_adam_state(params, beta1=0.9, beta2=0.999, eps_num=1e-8):
-    return AdamState(
-        m=zero_like_grads(params),
-        v=zero_like_grads(params),
-        step_count=0,
-        beta1=beta1,
-        beta2=beta2,
-        eps_num=eps_num,
-    )
+def init_adam_state(params):
+    return AdamState(m=NetworkParams(params.layer_sizes),
+                     v=NetworkParams(params.layer_sizes))
 
 
 def _layers(params, x, acts=None):
@@ -177,9 +167,9 @@ def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
 
     Loss = (1/B) * sum_i huber(Q(s_i, a_i) - target_i, kappa). Only the
     selected action's output unit receives loss signal per sample. Returns
-    (Gradients, mean_loss). The gradients are written into `grads` when it
-    is given (a flat-backed workspace from zero_like_grads, reused across
-    steps) and into fresh arrays otherwise.
+    (gradients, mean_loss), the gradients as NetworkParams. They are written
+    into `grads` when it is given (a workspace of the same layer sizes,
+    reused across steps) and into a fresh buffer otherwise.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -206,7 +196,7 @@ def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
     dloss = delta / root / batch  # d mean_loss / d q_sel
 
     if grads is None:
-        grads = zero_like_grads(params)
+        grads = NetworkParams(params.layer_sizes)
     d = np.zeros(q.shape)
     d[rows, actions] = dloss
     for l in range(params.n_layers - 1, -1, -1):
@@ -230,73 +220,49 @@ def adam_step(params, grads, state, lr):
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    s1, s2 = state.scratch
-    if (params.flat is not None and grads.flat is not None
-            and state.m.flat is not None and state.v.flat is not None):
-        if not np.isfinite(grads.flat).all():
-            raise ValueError("non-finite gradients, update refused")
-        slots = [(params.flat, grads.flat, state.m.flat, state.v.flat, s1, s2)]
-    else:
-        grad_arrays = grads.weights + grads.biases
-        for g in grad_arrays:
-            if not np.isfinite(g).all():
-                raise ValueError("non-finite gradients, update refused")
-        slots = [
-            (theta, g, m, v, s1[:g.size].reshape(g.shape),
-             s2[:g.size].reshape(g.shape))
-            for theta, g, m, v in zip(
-                params.weights + params.biases, grad_arrays,
-                state.m.weights + state.m.biases,
-                state.v.weights + state.v.biases,
-            )
-        ]
+    if not np.isfinite(grads.flat).all():
+        raise ValueError("non-finite gradients, update refused")
+    theta, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    a, b = state.scratch
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    for theta, g, m, v, a, b in slots:
-        # m = b1*m + (1-b1)*g
-        np.multiply(g, 1.0 - b1, out=a)
-        m *= b1
-        m += a
-        # v = b2*v + (1-b2)*g^2
-        np.multiply(g, g, out=a)
-        a *= 1.0 - b2
-        v *= b2
-        v += a
-        # theta -= lr * (m/corr1) / (sqrt(v/corr2) + eps)
-        np.divide(m, corr1, out=a)
-        a *= lr
-        np.divide(v, corr2, out=b)
-        np.sqrt(b, out=b)
-        b += state.eps_num
-        a /= b
-        theta -= a
+    # m = b1*m + (1-b1)*g
+    np.multiply(g, 1.0 - b1, out=a)
+    m *= b1
+    m += a
+    # v = b2*v + (1-b2)*g^2
+    np.multiply(g, g, out=a)
+    a *= 1.0 - b2
+    v *= b2
+    v += a
+    # theta -= lr * (m/corr1) / (sqrt(v/corr2) + eps)
+    np.divide(m, corr1, out=a)
+    a *= lr
+    np.divide(v, corr2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    theta -= a
     return params, state
 
 
 def clone_params(params):
-    """Deep, independent copy (flat-backed)."""
-    flat = np.zeros(param_count(params.layer_sizes))
-    weights, biases = _flat_views(flat, params.layer_sizes)
-    for dst, src in zip(weights + biases, params.weights + params.biases):
-        dst[:] = src
-    return NetworkParams(params.layer_sizes, weights, biases, flat)
+    """Deep, independent copy."""
+    return NetworkParams(params.layer_sizes, flat=params.flat.copy())
 
 
 def save_network(params, path):
     """Binary checkpoint: magic "RQNET1", u32 LE layer count, u32 LE layer
     sizes, then per layer the weight matrix (row-major) and bias vector as
-    little-endian float64."""
+    little-endian float64, which is the order of the flat buffer."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(params.layer_sizes)))
-        for n in params.layer_sizes:
-            fh.write(struct.pack("<I", n))
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        sizes = params.layer_sizes
+        fh.write(struct.pack(f"<{len(sizes) + 1}I", len(sizes), *sizes))
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_network(path):
@@ -324,5 +290,4 @@ def load_network(path):
             f"{path}: {kind} ({body} bytes of parameters, expected {expected})"
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=header + 4 * count).astype(float)
-    weights, biases = _flat_views(flat, layer_sizes)
-    return NetworkParams(layer_sizes, weights, biases, flat)
+    return NetworkParams(layer_sizes, flat=flat)

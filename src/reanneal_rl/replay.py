@@ -68,33 +68,10 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
         self.insert_count += 1
 
-    def _experience_at(self, i):
-        return Experience(
-            state=self._states[i].copy(),
-            action=int(self._actions[i]),
-            reward=float(self._rewards[i]),
-            next_state=self._next_states[i].copy(),
-            done=bool(self._dones[i]),
-            timed_out=bool(self._timed_out[i]),
-        )
-
-    def as_list(self):
-        """Stored experiences in insertion order (oldest first)."""
-        start = (self._next - self._size) % self.capacity
-        return [
-            self._experience_at((start + k) % self.capacity)
-            for k in range(self._size)
-        ]
-
-    def sample(self, batch_size, rng):
-        """Uniform sample with replacement, deterministic per rng state."""
-        idx = self._sample_indices(batch_size, rng)
-        return [self._experience_at(i) for i in idx]
-
     def sample_arrays(self, batch_size, rng):
-        """Like sample() but returns stacked arrays
-        (states, actions, rewards, next_states, dones, timed_out); used by the
-        training loop to avoid per-experience object overhead."""
+        """Uniform sample with replacement, deterministic per rng state, as
+        stacked arrays (states, actions, rewards, next_states, dones,
+        timed_out)."""
         idx = self._sample_indices(batch_size, rng)
         return (
             self._states.take(idx, axis=0),

@@ -116,10 +116,12 @@ def test_criterion_2_optimizer_and_loss_oracles():
     params = mlp.NetworkParams((1, 1), [np.array([[theta0]])], [np.array([0.0])])
     state = mlp.init_adam_state(params)
     zero_bias = [np.array([0.0])]
-    mlp.adam_step(params, mlp.Gradients([np.array([[g1]])], zero_bias),
+    mlp.adam_step(params,
+                  mlp.NetworkParams((1, 1), [np.array([[g1]])], zero_bias),
                   state, lr)
     assert params.weights[0][0, 0] == pytest.approx(theta1, abs=1e-12)
-    mlp.adam_step(params, mlp.Gradients([np.array([[g2]])], zero_bias),
+    mlp.adam_step(params,
+                  mlp.NetworkParams((1, 1), [np.array([[g2]])], zero_bias),
                   state, lr)
     assert params.weights[0][0, 0] == pytest.approx(theta2, abs=1e-12)
 

@@ -30,6 +30,15 @@ def exp(state, action=0, reward=0.0, next_state=None, done=False,
                       np.asarray(next_state, float), done, timed_out)
 
 
+def targets(agent, batch):
+    """Bootstrap targets for a list of experiences, from the method that
+    train_step uses."""
+    return agent._targets(np.array([e.reward for e in batch]),
+                          np.stack([e.next_state for e in batch]),
+                          np.array([e.done for e in batch], dtype=bool),
+                          np.arange(len(batch)))
+
+
 def fill_buffer(agent, n=32, seed=1):
     rng = np.random.default_rng(seed)
     buf = ReplayBuffer(capacity=64, obs_size=4)
@@ -43,13 +52,13 @@ class TestComputeTargets:
     def test_done_transition_is_pure_reward(self):
         agent = make_agent()
         batch = [exp(np.ones(4), reward=-100.0, done=True)]
-        assert agent.compute_targets(batch)[0] == -100.0
+        assert targets(agent, batch)[0] == -100.0
 
     def test_zero_networks_target_is_reward(self):
         agent = make_agent()
         zero_networks(agent)
         batch = [exp(np.ones(4), reward=5.0)]
-        assert agent.compute_targets(batch)[0] == pytest.approx(5.0)
+        assert targets(agent, batch)[0] == pytest.approx(5.0)
 
     def test_timed_out_still_bootstraps(self):
         agent = make_agent()
@@ -57,8 +66,8 @@ class TestComputeTargets:
                          timed_out=True)]
         batch_done = [exp(np.ones(4), reward=1.0, next_state=np.ones(4),
                           done=True)]
-        boot = agent.compute_targets(batch_cut)[0]
-        terminal = agent.compute_targets(batch_done)[0]
+        boot = targets(agent, batch_cut)[0]
+        terminal = targets(agent, batch_done)[0]
         assert terminal == 1.0
         assert boot != terminal
 
@@ -80,9 +89,9 @@ class TestComputeTargets:
         batch = [exp(np.zeros(4), reward=r, next_state=s_next)]
         ddqn_oracle = r + gamma * q_target[np.argmax(q_online)]
         dqn_oracle = r + gamma * q_target.max()
-        assert agent.compute_targets(batch)[0] == pytest.approx(ddqn_oracle)
+        assert targets(agent, batch)[0] == pytest.approx(ddqn_oracle)
         agent.config.double_dqn = False
-        assert agent.compute_targets(batch)[0] == pytest.approx(dqn_oracle)
+        assert targets(agent, batch)[0] == pytest.approx(dqn_oracle)
         assert ddqn_oracle < dqn_oracle
 
     def test_ddqn_target_never_exceeds_dqn_target(self):
@@ -93,14 +102,15 @@ class TestComputeTargets:
             batch = [exp(np.zeros(4), reward=float(rng.normal()),
                          next_state=rng.normal(size=4))]
             agent.config.double_dqn = True
-            ddqn = agent.compute_targets(batch)[0]
+            ddqn = targets(agent, batch)[0]
             agent.config.double_dqn = False
-            dqn = agent.compute_targets(batch)[0]
+            dqn = targets(agent, batch)[0]
             assert ddqn <= dqn + 1e-12
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            make_agent().compute_targets([])
+            make_agent()._targets(np.zeros(0), np.zeros((0, 4)),
+                                  np.zeros(0, dtype=bool), np.arange(0))
 
 
 class TestTrainStep:
@@ -224,21 +234,68 @@ class TestCheckpoint:
                               forward(agent.target, s))
 
     def test_loaded_agent_trains_like_the_saved_one(self, tmp_path):
-        # Adam moments are not saved, so save before the first step, while
-        # they are still zero; the two agents must then stay bitwise equal.
+        # Save after the first step, when the Adam moments are no longer
+        # zero; the two agents must then stay bitwise equal.
         agent = make_agent(seed=32)
+        buf = fill_buffer(agent)
+        assert agent.train_step(buf, np.random.default_rng(4)) is not None
         prefix = str(tmp_path / "ckpt")
         save_checkpoint(agent, prefix)
         loaded, _ = load_checkpoint(prefix)
-        buf = fill_buffer(agent)
         for net in (agent, loaded):
             rng = np.random.default_rng(5)
             for _ in range(3):
                 assert net.train_step(buf, rng) is not None
-        assert loaded.optimizer.step_count == agent.optimizer.step_count == 3
-        assert np.array_equal(loaded.online.flat, agent.online.flat)
-        assert np.array_equal(loaded.target.flat, agent.target.flat)
-        assert np.array_equal(loaded.optimizer.v.flat, agent.optimizer.v.flat)
+        assert loaded.optimizer.step_count == agent.optimizer.step_count == 4
+        for name in ("online", "target"):
+            assert np.array_equal(getattr(loaded, name).flat,
+                                  getattr(agent, name).flat)
+        for name in ("m", "v"):
+            assert np.array_equal(getattr(loaded.optimizer, name).flat,
+                                  getattr(agent.optimizer, name).flat)
+
+    def test_missing_adam_moments_rejected(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(make_agent(seed=33), prefix)
+        (tmp_path / "ckpt.adam_v.net").unlink()
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(prefix)
+
+    def test_adam_moments_of_other_sizes_rejected(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(make_agent(seed=34), prefix)
+        mlp.save_network(mlp.init_params((4, 8, 3)), prefix + ".adam_m.net")
+        with pytest.raises(ValueError, match="Adam m layer sizes"):
+            load_checkpoint(prefix)
+
+    @pytest.mark.parametrize("key, text", [
+        ("gamma", "abc"), ("batch_size", "4.5"), ("double_dqn", "maybe"),
+        ("adam_step_count", "x"),
+    ])
+    def test_unparsable_meta_value_named(self, tmp_path, key, text):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(make_agent(seed=35), prefix)
+        meta = tmp_path / "ckpt.meta"
+        lines = meta.read_text().splitlines()
+        meta.write_text("".join(
+            f"{key}={text}\n" if line.startswith(key + "=") else line + "\n"
+            for line in lines))
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(prefix)
+        message = str(excinfo.value)
+        assert "ckpt.meta" in message and key in message and repr(text) in message
+
+    def test_meta_keeps_its_format(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        agent = make_agent(seed=36, double_dqn=False)
+        agent.optimizer.step_count = 3
+        save_checkpoint(agent, prefix, episode=7, extra={"env": "hovertrap"})
+        assert (tmp_path / "ckpt.meta").read_text() == (
+            "gamma=0.99\nlearning_rate=0.01\nbatch_size=4\n"
+            "target_sync_period_episodes=20\ndouble_dqn=0\nkappa=1.0\n"
+            "min_replay_before_training=8\nepisode=7\nadam_step_count=3\n"
+            "env=hovertrap\n"
+        )
 
     def test_load_accepts_meta_path(self, tmp_path):
         agent = make_agent(seed=31)

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +122,33 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "gamma" in err[0] and "final.meta" in err[0]
 
+    def test_eval_meta_value_that_does_not_parse_reports_one_error(
+            self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                  "--seed", "2", "--out", str(out)])
+        meta = out / "final.meta"
+        text = meta.read_text()
+        meta.write_text(re.sub(r"(?m)^gamma=.*$", "gamma=abc", text))
+        capsys.readouterr()
+        code = cli_main(["eval", "--checkpoint", str(out / "final")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "final.meta" in err[0] and "gamma" in err[0] and "'abc'" in err[0]
+
+    def test_eval_without_adam_moments_reports_one_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                  "--seed", "2", "--out", str(out)])
+        (out / "final.adam_m.net").unlink()
+        capsys.readouterr()
+        code = cli_main(["eval", "--checkpoint", str(out / "final")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "final.adam_m.net" in err[0]
+
     def test_out_of_range_decay_rate_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
@@ -134,6 +165,18 @@ class TestCli:
         code = cli_main(["train", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert "stuck_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_value_that_does_not_parse_reports_one_error(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nenv = hovertrap\nepisodes = ten\n")
+        out = tmp_path / "run"
+        code = cli_main(["train", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "exp.cfg" in err[0] and "episodes" in err[0] and "'ten'" in err[0]
         assert not out.exists()
 
     def test_plot_subcommand(self, tmp_path, capsys):
@@ -194,3 +237,18 @@ class TestCli:
         assert "episodes = 6" in manifest
         assert "learning_rate = 0.002" in manifest
         assert len(read_metrics_csv(out / "metrics.csv")) == 6
+
+
+@pytest.mark.parametrize("module", ["reanneal_rl", "reanneal_rl.cli"])
+def test_python_dash_m_runs_the_command(tmp_path, module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "bandit"
+    result = subprocess.run(
+        [sys.executable, "-m", module, "bandit", "--horizon", "10",
+         "--seeds", "1", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (out / "regret.csv").exists()

@@ -96,6 +96,13 @@ class TestMetricsCsv:
         assert loaded.stuck_count == original.stuck_count
         assert loaded.reannealed_this_episode == original.reannealed_this_episode
 
+    def test_value_that_does_not_parse_named(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_metrics_csv([self.record()], path)
+        path.write_text(path.read_text().replace("\n0,10,", "\nzero,10,"))
+        with pytest.raises(ValueError, match="m.csv: episode_index = 'zero'"):
+            read_metrics_csv(path)
+
 
 class TestRunTraining:
     def test_scripted_timeouts_reanneal_exactly_at_threshold(self, tmp_path):
@@ -208,6 +215,22 @@ class TestConfigFile:
         path.write_text("[run]\nenv = hovertrap\nbogus = 1\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "episodes", "ten"),
+        ("run", "reanneal_enabled", "maybe"),
+        ("run", "hidden_sizes", "32,x"),
+        ("agent", "batch_size", "6.5"),
+        ("agent", "gamma", "abc"),
+    ])
+    def test_value_that_does_not_parse_named(self, tmp_path, section, key,
+                                             value):
+        path = tmp_path / "c.cfg"
+        header = "" if section == "run" else f"[{section}]\n"
+        path.write_text(f"[run]\nenv = hovertrap\n{header}{key} = {value}\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_config(path)
+        assert f"c.cfg: {key} = {value!r}" in str(excinfo.value)
 
     @pytest.mark.parametrize("section, key, value", [
         ("run", "decay_rate", "1.5"),

@@ -127,7 +127,7 @@ def finite_difference_grads(params, batch, actions, targets, kappa, h=1e-5):
         sel = q[np.arange(len(actions)), actions]
         return float(np.mean(huber_loss(sel - targets, kappa)))
 
-    grads = mlp.zero_like_grads(params)
+    grads = NetworkParams(params.layer_sizes)
     for arrays, out in ((params.weights, grads.weights),
                         (params.biases, grads.biases)):
         for arr, g in zip(arrays, out):
@@ -228,7 +228,7 @@ class TestAdam:
         p = small_net(rng)
         before = clone_params(p)
         state = init_adam_state(p)
-        adam_step(p, mlp.zero_like_grads(p), state, lr=0.01)
+        adam_step(p, NetworkParams(p.layer_sizes), state, lr=0.01)
         for a, b in zip(p.weights + p.biases, before.weights + before.biases):
             assert np.array_equal(a, b)
         assert state.step_count == 1
@@ -236,7 +236,7 @@ class TestAdam:
     def test_first_step_matches_hand_computed_recurrence(self):
         p = scalar_net()
         state = init_adam_state(p)
-        grads = mlp.Gradients([np.array([[1.0]])], [np.array([0.0])])
+        grads = NetworkParams((1, 1), [np.array([[1.0]])], [np.array([0.0])])
         adam_step(p, grads, state, lr=0.01)
         expected = scalar_adam_reference(0.0, [1.0], 0.01)
         assert p.weights[0][0, 0] == pytest.approx(expected, abs=1e-12)
@@ -245,7 +245,7 @@ class TestAdam:
     def test_two_steps_match_hand_computed_recurrence(self):
         p = scalar_net()
         state = init_adam_state(p)
-        grads = mlp.Gradients([np.array([[1.0]])], [np.array([0.0])])
+        grads = NetworkParams((1, 1), [np.array([[1.0]])], [np.array([0.0])])
         adam_step(p, grads, state, lr=0.01)
         adam_step(p, grads, state, lr=0.01)
         expected = scalar_adam_reference(0.0, [1.0, 1.0], 0.01)
@@ -255,40 +255,29 @@ class TestAdam:
     def test_nonfinite_gradients_refused(self):
         p = scalar_net()
         state = init_adam_state(p)
-        grads = mlp.Gradients([np.array([[np.inf]])], [np.array([0.0])])
+        grads = NetworkParams((1, 1), [np.array([[np.inf]])],
+                              [np.array([0.0])])
         with pytest.raises(ValueError):
             adam_step(p, grads, state, lr=0.01)
         assert state.step_count == 0
-
-
-def per_array(params):
-    """A copy of params whose arrays are separate, not views of a flat
-    buffer, so adam_step takes its per-array path."""
-    return NetworkParams(params.layer_sizes,
-                         [w.copy() for w in params.weights],
-                         [b.copy() for b in params.biases])
 
 
 class TestLeanPathsEquivalence:
     """The workspace and fused code paths must do exactly the arithmetic of
     the plain per-array formulas."""
 
-    def test_fused_and_per_array_adam_bitwise_equal(self):
+    def test_fused_adam_matches_textbook_bitwise(self):
         rng = np.random.default_rng(60)
         fused = small_net(rng)
-        split = per_array(fused)
-        ref = per_array(fused)
+        ref = clone_params(fused)
         ref_m = [np.zeros_like(a) for a in ref.weights + ref.biases]
         ref_v = [np.zeros_like(a) for a in ref.weights + ref.biases]
-        fused_state = init_adam_state(fused)
-        split_state = init_adam_state(split)
+        state = init_adam_state(fused)
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
         for t in range(1, 6):
             g = small_net(rng)  # random values in gradient shapes
-            grads = mlp.Gradients(g.weights, g.biases, g.flat)
-            adam_step(fused, grads, fused_state, lr)
-            adam_step(split, per_array(g), split_state, lr)
-            # Textbook form, written out with fresh temporaries.
+            adam_step(fused, g, state, lr)
+            # Textbook form, written out per array with fresh temporaries.
             for theta, gr, m, v in zip(ref.weights + ref.biases,
                                        g.weights + g.biases, ref_m, ref_v):
                 m *= b1
@@ -297,22 +286,16 @@ class TestLeanPathsEquivalence:
                 v += (1.0 - b2) * (gr * gr)
                 theta -= lr * (m / (1.0 - b1**t)) / (
                     np.sqrt(v / (1.0 - b2**t)) + eps)
-        for state in (fused_state, split_state):
-            assert state.step_count == 5
-        for name in ("weights", "biases"):
-            for a, b, c in zip(getattr(fused, name), getattr(split, name),
-                               getattr(ref, name)):
-                assert np.array_equal(a, b) and np.array_equal(a, c)
-        for fused_m, split_m, ref_list in ((fused_state.m, split_state.m, ref_m),
-                                           (fused_state.v, split_state.v, ref_v)):
-            for a, b, c in zip(fused_m.weights + fused_m.biases,
-                               split_m.weights + split_m.biases, ref_list):
-                assert np.array_equal(a, b) and np.array_equal(a, c)
+        assert state.step_count == 5
+        assert np.array_equal(fused.flat, ref.flat)
+        for moments, ref_list in ((state.m, ref_m), (state.v, ref_v)):
+            for a, c in zip(moments.weights + moments.biases, ref_list):
+                assert np.array_equal(a, c)
 
     def test_backward_into_workspace_matches_fresh(self):
         rng = np.random.default_rng(61)
         p = small_net(rng)
-        ws = mlp.zero_like_grads(p)
+        ws = NetworkParams(p.layer_sizes)
         ws.flat[:] = np.nan  # stale contents must be overwritten
         buffer = ws.flat
         for _ in range(3):
@@ -342,6 +325,38 @@ class TestLeanPathsEquivalence:
             for b in g2.weights + g2.biases:
                 assert not np.shares_memory(a, b)
         assert not np.array_equal(g1.flat, g2.flat)
+
+
+class TestNetworkParams:
+    def test_lists_are_copied_into_one_flat_buffer(self):
+        w, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0])
+        p = NetworkParams((2, 2), [w], [b])
+        np.testing.assert_array_equal(p.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert np.shares_memory(p.weights[0], p.flat)
+        assert np.shares_memory(p.biases[0], p.flat)
+        assert not np.shares_memory(p.weights[0], w)
+
+    def test_views_share_a_given_flat_buffer(self):
+        flat = np.arange(6.0)
+        p = NetworkParams((2, 2), flat=flat)
+        assert p.flat is flat
+        np.testing.assert_array_equal(p.biases[0], [4.0, 5.0])
+
+    def test_no_arrays_gives_zeros(self):
+        p = NetworkParams((3, 4, 2))
+        assert p.flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        assert not p.flat.any()
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([np.zeros((3, 2))], [np.zeros(1)]),       # bias would broadcast
+        ([np.zeros((2, 3))], [np.zeros(3)]),       # transposed weight
+        ([np.zeros((3, 2)), np.zeros((1, 3))], [np.zeros(3)]),  # extra layer
+        ([], []),
+    ])
+    def test_shapes_that_do_not_match_layer_sizes_rejected(self, weights,
+                                                            biases):
+        with pytest.raises(ValueError, match="do not match layer sizes"):
+            NetworkParams((2, 3), weights, biases)
 
 
 class TestCloneParams:

@@ -5,6 +5,20 @@ from scipy import stats
 from reanneal_rl.replay import Experience, ReplayBuffer
 
 
+def experience_at(buf, i):
+    """The experience stored in slot i of the ring."""
+    return Experience(buf._states[i].copy(), int(buf._actions[i]),
+                      float(buf._rewards[i]), buf._next_states[i].copy(),
+                      bool(buf._dones[i]), bool(buf._timed_out[i]))
+
+
+def as_list(buf):
+    """Stored experiences in insertion order (oldest first)."""
+    start = (buf._next - len(buf)) % buf.capacity
+    return [experience_at(buf, (start + k) % buf.capacity)
+            for k in range(len(buf))]
+
+
 def make_exp(tag, obs_size=4):
     state = np.full(obs_size, float(tag))
     return Experience(state, tag % 2, float(tag), state + 1, False)
@@ -15,7 +29,7 @@ class TestPush:
         buf = ReplayBuffer(capacity=2, obs_size=4)
         for tag in (1, 2, 3):
             buf.push(make_exp(tag))
-        rewards = [e.reward for e in buf.as_list()]
+        rewards = [e.reward for e in as_list(buf)]
         assert rewards == [2.0, 3.0]
 
     def test_push_into_empty(self):
@@ -32,7 +46,7 @@ class TestPush:
             oracle.append(tag)
             oracle = oracle[-capacity:]
         assert len(buf) == capacity
-        assert [int(e.reward) for e in buf.as_list()] == oracle
+        assert [int(e.reward) for e in as_list(buf)] == oracle
 
     def test_nonfinite_fields_rejected(self):
         buf = ReplayBuffer(capacity=4, obs_size=2)
@@ -58,30 +72,33 @@ class TestSample:
     def test_single_element(self):
         buf = ReplayBuffer(capacity=4, obs_size=4)
         buf.push(make_exp(9))
-        (got,) = buf.sample(1, np.random.default_rng(0))
-        assert got.reward == 9.0
+        states, _, rewards, _, _, _ = buf.sample_arrays(
+            1, np.random.default_rng(0))
+        assert rewards.tolist() == [9.0]
+        assert np.array_equal(states, [np.full(4, 9.0)])
 
     def test_same_seed_same_batch(self):
         buf = ReplayBuffer(capacity=100, obs_size=4)
         for tag in range(50):
             buf.push(make_exp(tag))
-        a = buf.sample(10, np.random.default_rng(42))
-        b = buf.sample(10, np.random.default_rng(42))
-        assert [e.reward for e in a] == [e.reward for e in b]
+        a = buf.sample_arrays(10, np.random.default_rng(42))
+        b = buf.sample_arrays(10, np.random.default_rng(42))
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_insufficient_data_rejected(self):
         buf = ReplayBuffer(capacity=10, obs_size=4)
         buf.push(make_exp(0))
         with pytest.raises(ValueError):
-            buf.sample(2, np.random.default_rng(0))
+            buf.sample_arrays(2, np.random.default_rng(0))
 
     def test_sampling_does_not_mutate_contents(self):
         buf = ReplayBuffer(capacity=10, obs_size=4)
         for tag in range(10):
             buf.push(make_exp(tag))
-        before = [e.reward for e in buf.as_list()]
-        buf.sample(10, np.random.default_rng(1))
-        assert [e.reward for e in buf.as_list()] == before
+        before = [e.reward for e in as_list(buf)]
+        buf.sample_arrays(10, np.random.default_rng(1))
+        assert [e.reward for e in as_list(buf)] == before
 
     def test_uniformity_chi_squared(self):
         # 10^6 total draws over 100 elements vs the uniform distribution.
@@ -117,7 +134,8 @@ class TestSample:
         for tag in range(20):
             buf.push(Experience(rng_fill.normal(size=3), tag % 4, float(tag),
                                 rng_fill.normal(size=3), tag % 5 == 0))
-        objs = buf.sample(8, np.random.default_rng(9))
+        idx = buf._sample_indices(8, np.random.default_rng(9))
+        objs = [experience_at(buf, i) for i in idx]
         states, actions, rewards, next_states, dones, timed_out = (
             buf.sample_arrays(8, np.random.default_rng(9))
         )
