@@ -34,7 +34,6 @@ class Agent:
                     f"{name} layer sizes {net.layer_sizes} != online "
                     f"layer sizes {self.online.layer_sizes}"
                 )
-        self.episodes_since_sync = 0
         self._grads = mlp.NetworkParams(self.online.layer_sizes)
         self._rows = np.arange(config.batch_size)
 
@@ -84,7 +83,6 @@ class Agent:
     def sync_target(self):
         """target <- deep copy of online."""
         self.target = clone_params(self.online)
-        self.episodes_since_sync = 0
 
 
 def save_checkpoint(agent, prefix, episode=0, extra=None):

@@ -137,9 +137,15 @@ def parse_fields(cls, values, source):
 def load_config(path):
     """Read a config file over the defaults of its environment. Values are
     applied with dataclasses.replace, so every field is validated."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         parser.read_file(fh)
+    unknown = [name for name in parser.sections()
+               if name not in ("run", "agent")]
+    if unknown:
+        raise ValueError(f"{path}: unknown section(s) "
+                         f"{', '.join(f'[{name}]' for name in unknown)}; "
+                         "expected [run] and [agent]")
     sections = {name: dict(parser.items(name)) if parser.has_section(name)
                 else {} for name in ("run", "agent")}
     config = default_config(sections["run"].pop("env", "lander"))
@@ -151,7 +157,7 @@ def load_config(path):
 def save_config(config, path):
     """Write a config (or run manifest) as [run]/[agent] key=value text.
     A saved file round-trips through load_config."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     run = {k: v for k, v in asdict(config).items() if k != "agent"}
     run["hidden_sizes"] = ",".join(str(n) for n in config.hidden_sizes)
     parser["run"] = {k: str(v) for k, v in run.items()}

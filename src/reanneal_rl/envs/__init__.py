@@ -12,10 +12,39 @@ class StepResult:
 
 
 @dataclass
+class Experience:
+    """One transition. `done` is true only on genuine terminals; episodes cut
+    off by the time limit store `timed_out` instead so the target still
+    bootstraps."""
+
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    done: bool
+    timed_out: bool = False
+
+
+@dataclass
 class EnvSpec:
     observation_size: int
     action_count: int
     max_episode_steps: int
+
+
+def episode(env, act, rng=None):
+    """Roll out one episode: reset `env` with `rng`, then pick each action
+    with `act(observation)` and step. Yields one Experience per step and
+    stops after the step that is done or timed out."""
+    obs = env.reset(rng)
+    while True:
+        action = act(obs)
+        result = env.step(action)
+        yield Experience(obs, action, result.reward, result.observation,
+                         result.done, result.timed_out)
+        if result.done or result.timed_out:
+            return
+        obs = result.observation
 
 
 from .hovertrap import HoverTrapEnv, value_iteration  # noqa: E402

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import EnvSpec, StepResult
+from . import EnvSpec, StepResult, episode
 
 MAX_ALTITUDE = 16
 MAX_VELOCITY = 4
@@ -137,16 +137,12 @@ def value_iteration(gamma=0.99, tol=1e-10):
     return values, policy
 
 
-def rollout_policy(policy, discount=1.0, max_steps=MAX_EPISODE_STEPS):
+def rollout_policy(policy, discount=1.0):
     """Return of one episode under a tabular policy (deterministic MDP)."""
     env = HoverTrapEnv()
-    env.reset()
     total = 0.0
     scale = 1.0
-    for _ in range(max_steps):
-        result = env.step(int(policy[env.altitude, env.velocity]))
-        total += scale * result.reward
+    for exp in episode(env, lambda _: int(policy[env.altitude, env.velocity])):
+        total += scale * exp.reward
         scale *= discount
-        if result.done or result.timed_out:
-            break
     return total

@@ -1,10 +1,10 @@
-"""Training orchestrator: the outer episode loop with exploration reannealing.
+"""Training: the Trainer that owns a run's state, and run_training around it.
 
-Each episode runs epsilon-greedy steps with per-step replay updates, then the
-stuck counter is updated from the episode outcome; if it fires (and
-reannealing is enabled) epsilon resets to 1, otherwise epsilon decays. Metrics
-are appended to a CSV incrementally, a manifest captures the exact config, and
-checkpoints are written periodically plus at the end.
+A Trainer runs one episode at a time: epsilon-greedy steps, each followed by
+a replay push and a train step, then a stuck-counter update from the episode
+outcome; if the counter fires (and reannealing is enabled) epsilon resets to
+1, otherwise it decays. run_training writes the manifest, one metrics CSV row
+per episode and checkpoints, periodically and at the end.
 """
 
 from __future__ import annotations
@@ -20,15 +20,19 @@ from . import agent as agent_mod
 from . import mlp
 from .agent import Agent
 from .config import parse_fields, save_config
-from .envs import make_env
+from .envs import episode, make_env
 from .explore import EpsilonSchedule, StuckCounter, select_epsilon_greedy
-from .replay import Experience, ReplayBuffer
+from .replay import ReplayBuffer
 
 CSV_HEADER = "episode,steps,total_reward,epsilon,stuck,reannealed,mean_loss,wall_time_ms"
 
 
 class TrainingDiverged(RuntimeError):
-    pass
+    """A non-finite training loss; `record` is the episode's partial row."""
+
+    def __init__(self, message, record):
+        super().__init__(message)
+        self.record = record
 
 
 @dataclass
@@ -65,13 +69,6 @@ def _format_row(r):
     )
 
 
-def write_metrics_csv(records, path):
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(_format_row(r) + "\n")
-
-
 def read_metrics_csv(path):
     names = [f.name for f in fields(EpisodeRecord)]
     records = []
@@ -92,18 +89,92 @@ def _prefill(env, buffer, target_size, rng):
     """Fill the replay memory with uniform-random transitions before any
     learning, leaving the epsilon schedule untouched."""
     target_size = min(target_size, buffer.capacity)
+    act = lambda _: int(rng.integers(0, env.spec.action_count))  # noqa: E731
     while len(buffer) < target_size:
-        obs = env.reset(rng)
-        while True:
-            action = int(rng.integers(0, env.spec.action_count))
-            result = env.step(action)
-            buffer.push(Experience(
-                obs, action, result.reward, result.observation,
-                result.done, result.timed_out,
-            ))
-            obs = result.observation
-            if result.done or result.timed_out or len(buffer) >= target_size:
+        for exp in episode(env, act, rng):
+            buffer.push(exp)
+            if len(buffer) >= target_size:
                 break
+
+
+class Trainer:
+    """The state of one training run: agent, replay memory, epsilon schedule,
+    stuck counter, the env/policy/sample random streams and the number of
+    episodes done. Construction seeds the streams from `config.seed`, builds
+    the agent and prefills the replay memory."""
+
+    def __init__(self, config, env):
+        self.config = config
+        self.env = env
+        rng_init, self.rng_env, self.rng_policy, self.rng_sample = (
+            np.random.default_rng(s)
+            for s in np.random.SeedSequence(config.seed).spawn(4)
+        )
+        layer_sizes = (
+            env.spec.observation_size,
+            *config.hidden_sizes,
+            env.spec.action_count,
+        )
+        self.agent = Agent(config.agent, layer_sizes, rng_init)
+        self.buffer = ReplayBuffer(config.replay_capacity,
+                                   env.spec.observation_size)
+        self.schedule = EpsilonSchedule(epsilon_min=config.epsilon_min,
+                                        decay_rate=config.decay_rate)
+        self.stuck = StuckCounter(threshold=config.stuck_threshold)
+        self.episodes_done = 0
+        _prefill(env, self.buffer, config.agent.min_replay_before_training,
+                 self.rng_policy)
+
+    def run_episode(self):
+        """Run one epsilon-greedy episode with a train step after every env
+        step, then reanneal or decay epsilon, and sync the target network
+        after every `target_sync_period_episodes`-th episode. A non-finite
+        loss raises TrainingDiverged carrying the partial record."""
+        agent, schedule, index = self.agent, self.schedule, self.episodes_done
+        t_start = time.perf_counter()
+        total_reward = 0.0
+        loss_sum = 0.0
+        loss_count = 0
+        act = lambda obs: select_epsilon_greedy(  # noqa: E731
+            mlp.forward(agent.online, obs), schedule, self.rng_policy)
+        for step, exp in enumerate(episode(self.env, act, self.rng_env)):
+            self.buffer.push(exp)
+            loss = agent.train_step(self.buffer, self.rng_sample)
+            if loss is not None:
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at episode {index}, step {step}",
+                        EpisodeRecord(
+                            index, step + 1, total_reward, schedule.epsilon,
+                            self.stuck.count, False, float(loss),
+                            (time.perf_counter() - t_start) * 1e3,
+                        ),
+                    )
+                loss_sum += loss
+                loss_count += 1
+            total_reward += exp.reward
+
+        reannealed = (self.stuck.update(exp.timed_out).reanneal
+                      and self.config.reanneal_enabled)
+        if reannealed:
+            schedule.reanneal()
+        else:
+            schedule.decay()
+        if (index + 1) % self.config.agent.target_sync_period_episodes == 0:
+            agent.sync_target()
+        self.episodes_done += 1
+        return EpisodeRecord(
+            index, step + 1, total_reward, schedule.epsilon, self.stuck.count,
+            reannealed, loss_sum / loss_count if loss_count else 0.0,
+            (time.perf_counter() - t_start) * 1e3,
+        )
+
+
+def _save_checkpoint(trainer, name):
+    agent_mod.save_checkpoint(
+        trainer.agent, os.path.join(trainer.config.output_dir, name),
+        trainer.episodes_done, extra={"env": trainer.config.env},
+    )
 
 
 def run_training(config, env=None, episode_callback=None):
@@ -117,112 +188,31 @@ def run_training(config, env=None, episode_callback=None):
         env = make_env(config.env)
 
     os.makedirs(config.output_dir, exist_ok=True)
-    manifest_path = os.path.join(config.output_dir, "manifest.cfg")
-    metrics_path = os.path.join(config.output_dir, "metrics.csv")
     try:
-        save_config(config, manifest_path)
-        metrics_fh = open(metrics_path, "w")
+        save_config(config, os.path.join(config.output_dir, "manifest.cfg"))
+        metrics_fh = open(os.path.join(config.output_dir, "metrics.csv"), "w")
     except OSError as exc:
         raise RuntimeError(f"cannot write to {config.output_dir}: {exc}") from exc
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    rng_init, rng_env, rng_policy, rng_sample = (
-        np.random.default_rng(s) for s in seed_seq.spawn(4)
-    )
-
-    layer_sizes = (
-        env.spec.observation_size,
-        *config.hidden_sizes,
-        env.spec.action_count,
-    )
-    agent = Agent(config.agent, layer_sizes, rng_init)
-    buffer = ReplayBuffer(config.replay_capacity, env.spec.observation_size)
-    schedule = EpsilonSchedule(
-        epsilon=1.0, epsilon_min=config.epsilon_min, decay_rate=config.decay_rate
-    )
-    stuck = StuckCounter(count=0, threshold=config.stuck_threshold)
-
-    _prefill(env, buffer, config.agent.min_replay_before_training, rng_policy)
-
     records = []
-    metrics_fh.write(CSV_HEADER + "\n")
-    try:
-        for episode in range(config.episodes):
-            t_start = time.perf_counter()
-            obs = env.reset(rng_env)
-            total_reward = 0.0
-            loss_sum = 0.0
-            loss_count = 0
-            steps = 0
-            while True:
-                q_values = mlp.forward(agent.online, obs)
-                action = select_epsilon_greedy(q_values, schedule, rng_policy)
-                result = env.step(action)
-                buffer.push(Experience(
-                    obs, action, result.reward, result.observation,
-                    result.done, result.timed_out,
-                ))
-                loss = agent.train_step(buffer, rng_sample)
-                if loss is not None:
-                    if not math.isfinite(loss):
-                        record = EpisodeRecord(
-                            episode, steps + 1, total_reward, schedule.epsilon,
-                            stuck.count, False, float(loss),
-                            (time.perf_counter() - t_start) * 1e3,
-                        )
-                        metrics_fh.write(_format_row(record) + "\n")
-                        raise TrainingDiverged(
-                            f"non-finite loss at episode {episode}, step {steps}"
-                        )
-                    loss_sum += loss
-                    loss_count += 1
-                total_reward += result.reward
-                obs = result.observation
-                steps += 1
-                if result.done or result.timed_out:
-                    episode_timed_out = result.timed_out
-                    break
-
-            decision = stuck.update(episode_timed_out)
-            reannealed = decision.reanneal and config.reanneal_enabled
-            if reannealed:
-                schedule.reanneal()
-            else:
-                schedule.decay()
-
-            agent.episodes_since_sync += 1
-            if agent.episodes_since_sync >= config.agent.target_sync_period_episodes:
-                agent.sync_target()
-
-            record = EpisodeRecord(
-                episode_index=episode,
-                step_count=steps,
-                total_reward=total_reward,
-                epsilon_at_end=schedule.epsilon,
-                stuck_count=stuck.count,
-                reannealed_this_episode=reannealed,
-                mean_loss=loss_sum / loss_count if loss_count else 0.0,
-                wall_time_ms=(time.perf_counter() - t_start) * 1e3,
-            )
+    with metrics_fh:
+        trainer = Trainer(config, env)
+        metrics_fh.write(CSV_HEADER + "\n")
+        for _ in range(config.episodes):
+            try:
+                record = trainer.run_episode()
+            except TrainingDiverged as exc:
+                metrics_fh.write(_format_row(exc.record) + "\n")
+                raise
             records.append(record)
             metrics_fh.write(_format_row(record) + "\n")
             metrics_fh.flush()
-
             if (config.checkpoint_every > 0
-                    and (episode + 1) % config.checkpoint_every == 0):
-                prefix = os.path.join(config.output_dir, f"checkpoint_ep{episode + 1}")
-                agent_mod.save_checkpoint(
-                    agent, prefix, episode + 1, extra={"env": config.env}
-                )
+                    and trainer.episodes_done % config.checkpoint_every == 0):
+                _save_checkpoint(trainer, f"checkpoint_ep{trainer.episodes_done}")
             if episode_callback is not None:
-                episode_callback(record, agent)
-    finally:
-        metrics_fh.close()
-
-    agent_mod.save_checkpoint(
-        agent, os.path.join(config.output_dir, "final"),
-        config.episodes, extra={"env": config.env},
-    )
+                episode_callback(record, trainer.agent)
+    _save_checkpoint(trainer, "final")
     return records
 
 
@@ -230,13 +220,8 @@ def evaluate_greedy(agent, env, episodes, rng):
     """Roll out the greedy policy; returns a list of episode returns."""
     returns = []
     for _ in range(episodes):
-        obs = env.reset(rng)
         total = 0.0
-        while True:
-            result = env.step(agent.greedy_action(obs))
-            total += result.reward
-            obs = result.observation
-            if result.done or result.timed_out:
-                break
+        for exp in episode(env, agent.greedy_action, rng):
+            total += exp.reward
         returns.append(total)
     return returns

@@ -151,17 +151,6 @@ def forward_batch(params, observations):
     return _layers(params, x)
 
 
-def huber_loss(td_error, kappa=1.0):
-    """Pseudo-Huber loss: kappa^2 * (sqrt(1 + (d/kappa)^2) - 1).
-
-    Quadratic near zero, linear in the tails.
-    """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    d = np.asarray(td_error, dtype=float)
-    return kappa * kappa * (np.sqrt(1.0 + (d / kappa) ** 2) - 1.0)
-
-
 def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
     """Gradients of mean pseudo-Huber TD loss over a batch.
 

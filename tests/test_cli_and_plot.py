@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from reanneal_rl.cli import cli_main
+from reanneal_rl.config import load_config
 from reanneal_rl.harness import EpisodeRecord, read_metrics_csv
 from reanneal_rl.plotting import emit_reward_plot
 
@@ -73,6 +74,16 @@ class TestCli:
         assert code == 0
         manifest = (out / "manifest.cfg").read_text()
         assert "reanneal_enabled = False" in manifest
+
+    def test_percent_in_output_dir(self, tmp_path):
+        out = tmp_path / "r50%"
+        code = cli_main([
+            "train", "--env", "hovertrap", "--episodes", "2",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert load_config(out / "manifest.cfg").output_dir == str(out)
+        assert len(read_metrics_csv(out / "metrics.csv")) == 2
 
     def test_env_var_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REANNEAL_RL_SEED", "77")

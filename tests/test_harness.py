@@ -1,23 +1,39 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from reanneal_rl.agent import AgentConfig
+from reanneal_rl.agent import AgentConfig, load_checkpoint
 from reanneal_rl.config import RunConfig, default_config, load_config, save_config
-from reanneal_rl.envs import EnvSpec, StepResult
+from reanneal_rl.envs import EnvSpec, Experience, StepResult, make_env
+from reanneal_rl.envs.lander import LanderEnv
 from reanneal_rl.harness import (
     CSV_HEADER,
     EpisodeRecord,
+    Trainer,
+    TrainingDiverged,
+    _format_row,
+    _prefill,
     moving_average,
     read_metrics_csv,
     run_training,
-    write_metrics_csv,
 )
+from reanneal_rl.replay import ReplayBuffer
+
+
+def write_metrics_csv(records, path):
+    """metrics.csv as run_training writes it, from a list of records."""
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for r in records:
+            fh.write(_format_row(r) + "\n")
 
 
 class ScriptedTimeoutEnv:
     """Every episode runs `steps_per_episode` steps and then times out."""
 
     spec = EnvSpec(observation_size=3, action_count=2, max_episode_steps=5)
+    reward = 0.0
 
     def __init__(self, steps_per_episode=5):
         self.steps_per_episode = steps_per_episode
@@ -30,7 +46,7 @@ class ScriptedTimeoutEnv:
     def step(self, action):
         self._step += 1
         timed_out = self._step >= self.steps_per_episode
-        return StepResult(np.zeros(3), 0.0, False, timed_out)
+        return StepResult(np.zeros(3), self.reward, False, timed_out)
 
 
 def tiny_config(tmp_path, episodes=12, **overrides):
@@ -175,6 +191,34 @@ class TestRunTraining:
         for suffix in (".meta", ".online.net", ".target.net"):
             assert (out / ("final" + suffix)).exists()
 
+    def test_periodic_checkpoints(self, tmp_path):
+        config = tiny_config(tmp_path, episodes=5, checkpoint_every=2)
+        run_training(config)
+        out = tmp_path / "run"
+        assert sorted(p.name for p in out.glob("*.meta")) == [
+            "checkpoint_ep2.meta", "checkpoint_ep4.meta", "final.meta"]
+        for name, episode in (("checkpoint_ep2", 2), ("checkpoint_ep4", 4),
+                              ("final", 5)):
+            _, meta = load_checkpoint(str(out / name))
+            assert meta["episode"] == str(episode)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_loss_raises_and_writes_partial_row(self, tmp_path):
+        # A reward of 1e300 gives a finite target whose pseudo-Huber loss
+        # overflows on the first train step of episode 0.
+        config = tiny_config(tmp_path, episodes=3)
+        env = ScriptedTimeoutEnv()
+        env.reward = 1e300
+        with pytest.raises(TrainingDiverged,
+                           match=r"^non-finite loss at episode 0, step 0$"):
+            run_training(config, env=env)
+        out = tmp_path / "run"
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 2
+        assert lines[1].rsplit(",", 1)[0] == "0,1,0,1,0,0,inf"
+        assert not list(out.glob("final.*"))
+
     def test_target_sync_every_period(self, tmp_path):
         # Instrumented 60-episode run at sync period 20: the target is
         # bitwise constant between syncs and equals the online net right
@@ -200,6 +244,71 @@ class TestRunTraining:
                     assert np.array_equal(t, p)
 
 
+def reference_prefill(env, buffer, target_size, rng):
+    """The prefill loop as it was written before envs.episode existed."""
+    target_size = min(target_size, buffer.capacity)
+    while len(buffer) < target_size:
+        obs = env.reset(rng)
+        while True:
+            action = int(rng.integers(0, env.spec.action_count))
+            result = env.step(action)
+            buffer.push(Experience(
+                obs, action, result.reward, result.observation,
+                result.done, result.timed_out,
+            ))
+            obs = result.observation
+            if result.done or result.timed_out or len(buffer) >= target_size:
+                break
+
+
+class TestPrefill:
+    @pytest.mark.parametrize("target_size", [5, 300])
+    def test_lander_matches_reference_loop(self, target_size):
+        # The lander's reset draws from the rng, and 5 transitions end
+        # mid-episode; 300 span several episodes.
+        filled = []
+        for prefill in (_prefill, reference_prefill):
+            rng = np.random.default_rng(4)
+            buffer = ReplayBuffer(1000, LanderEnv.spec.observation_size)
+            prefill(LanderEnv(), buffer, target_size, rng)
+            filled.append((buffer, rng.bit_generator.state))
+        (got, got_rng), (want, want_rng) = filled
+        assert len(got) == len(want) == target_size
+        assert got_rng == want_rng
+        for name in ("_states", "_actions", "_rewards", "_next_states",
+                     "_dones", "_timed_out"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_capped_at_capacity(self):
+        buffer = ReplayBuffer(7, 3)
+        _prefill(ScriptedTimeoutEnv(), buffer, 50, np.random.default_rng(0))
+        assert len(buffer) == buffer.insert_count == 7
+
+
+class TestTrainer:
+    def test_driven_by_hand_matches_run_training(self, tmp_path):
+        # Fast decay, threshold 2 and 45 episodes at sync period 20 cover
+        # reanneals and two target syncs.
+        config = tiny_config(tmp_path, episodes=45, stuck_threshold=2,
+                             decay_rate=0.5)
+        agents = []
+        records = run_training(
+            config, episode_callback=lambda record, agent: agents.append(agent))
+        trainer = Trainer(config, make_env(config.env))
+        by_hand = [trainer.run_episode() for _ in range(config.episodes)]
+
+        def no_wall(rs):
+            return [replace(r, wall_time_ms=0.0) for r in rs]
+
+        assert no_wall(by_hand) == no_wall(records)
+        assert any(r.reannealed_this_episode for r in records)
+        assert trainer.episodes_done == config.episodes
+        assert np.array_equal(trainer.agent.online.flat,
+                              agents[-1].online.flat)
+        assert np.array_equal(trainer.agent.target.flat,
+                              agents[-1].target.flat)
+
+
 class TestConfigFile:
     def test_save_load_round_trip(self, tmp_path):
         config = default_config("hovertrap")
@@ -209,6 +318,16 @@ class TestConfigFile:
         save_config(config, path)
         loaded = load_config(path)
         assert loaded == config
+
+    def test_unknown_sections_named(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("[run]\nenv = hovertrap\n[agnet]\nlearning_rate = 0.5\n"
+                        "[extra]\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_config(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "[agnet]" in message and "[extra]" in message
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

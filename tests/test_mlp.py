@@ -9,10 +9,11 @@ from reanneal_rl.mlp import (
     clone_params,
     forward,
     forward_batch,
-    huber_loss,
     init_adam_state,
     init_params,
 )
+
+from oracles import huber_loss
 
 
 def small_net(rng, sizes=(5, 7, 6, 3)):
@@ -118,6 +119,17 @@ class TestHuberLoss:
             huber_loss(1.0, 0.0)
         with pytest.raises(ValueError):
             huber_loss(1.0, -1.0)
+
+    def test_backward_loss_is_the_batch_mean(self):
+        rng = np.random.default_rng(6)
+        p = small_net(rng)
+        batch = rng.normal(size=(9, 5))
+        actions = rng.integers(0, 3, size=9)
+        targets = rng.normal(scale=4.0, size=9)
+        _, loss = backward(p, batch, actions, targets, kappa=1.7)
+        selected = forward_batch(p, batch)[np.arange(9), actions]
+        assert loss == pytest.approx(
+            np.mean(huber_loss(selected - targets, 1.7)), rel=1e-12)
 
 
 def finite_difference_grads(params, batch, actions, targets, kappa, h=1e-5):

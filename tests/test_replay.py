@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from reanneal_rl.replay import Experience, ReplayBuffer
+from reanneal_rl.envs import Experience
+from reanneal_rl.replay import ReplayBuffer
 
 
 def experience_at(buf, i):
