@@ -76,6 +76,10 @@ class RunConfig:
             )
         if self.stuck_threshold < 1:
             raise ValueError("stuck_threshold must be >= 1")
+        # Config files strip values, so such a path could not round-trip.
+        if not self.output_dir or self.output_dir != self.output_dir.strip():
+            raise ValueError(f"output_dir {self.output_dir!r} is empty or has "
+                             "leading or trailing whitespace")
         if self.replay_capacity < self.agent.batch_size:
             raise ValueError(
                 f"replay_capacity {self.replay_capacity} is smaller than "

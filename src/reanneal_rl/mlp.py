@@ -3,6 +3,14 @@
 Everything is plain numpy in float64. The network is a fixed-depth MLP with
 ReLU hidden layers and a linear output layer. Gradients are computed by hand
 so they can be checked against finite differences.
+
+Adam moments whose magnitude falls below the smallest normal double are set
+to zero every ADAM_FLUSH_PERIOD steps. A weight that stops getting gradient
+has its first moment decay into the subnormal range, where fl(0.9 * m) can
+round back to m, so it stays there and every later pass over m takes the
+CPU's slow subnormal path. The weights cannot see the flush: a subnormal
+moment moves no weight of ordinary size. The flush is keyed to the step
+count, which checkpoints keep, so a loaded agent flushes at the same steps.
 """
 
 from __future__ import annotations
@@ -21,6 +29,10 @@ CHECKPOINT_MAGIC = b"RQNET1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Steps between flushes of subnormal moments; a flush on every step is
+# slower (ROADMAP, measured dead ends).
+ADAM_FLUSH_PERIOD = 64
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -203,7 +215,9 @@ def adam_step(params, grads, state, lr):
     The update is the exact form of Kingma & Ba (2015), with eps added to
     the bias-corrected sqrt(v), not the shortcut that folds the corrections
     into the step size. Temporaries go into state.scratch, so a step
-    allocates nothing the size of the parameters.
+    allocates nothing the size of the parameters. On every
+    ADAM_FLUSH_PERIOD-th step, moment entries below the smallest normal
+    double are then set to 0.0 (see the module docstring).
 
     Returns (params, state) for convenience. Refuses non-finite gradients.
     """
@@ -235,6 +249,10 @@ def adam_step(params, grads, state, lr):
     b += ADAM_EPS
     a /= b
     theta -= a
+    if t % ADAM_FLUSH_PERIOD == 0:
+        for moment in (m, v):
+            np.abs(moment, out=a)
+            moment[a < _TINY] = 0.0
     return params, state
 
 

@@ -169,6 +169,17 @@ class TestCli:
         assert len(err) == 1 and "decay_rate" in err[0]
         assert not out.exists()
 
+    def test_output_dir_with_trailing_space_reports_one_error(
+            self, tmp_path, capsys):
+        out = tmp_path / "a b "
+        code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "output_dir" in err[0]
+        assert not out.exists() and not (tmp_path / "a b").exists()
+
     def test_out_of_range_config_file_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("[run]\nenv = hovertrap\nstuck_threshold = 0\n")

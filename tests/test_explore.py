@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reanneal_rl.explore import (
     EpsilonSchedule,
@@ -209,3 +211,40 @@ class TestStuckCounter:
             decision = counter.update(timed_out)
             assert not decision.reanneal
             assert counter.count == expect
+
+
+def reference_stuck_counts(outcomes, threshold):
+    """The README rule, step by step: a timeout adds one, a finished episode
+    halves the count, and reaching the threshold fires once and starts the
+    count over at 0. Returns the count after each episode and the episodes
+    that fired."""
+    count, counts, fired = 0, [], []
+    for episode, timed_out in enumerate(outcomes):
+        count = count + 1 if timed_out else count // 2
+        if count == threshold:  # the count only rises one at a time
+            fired.append(episode)
+            count = 0
+        counts.append(count)
+    return counts, fired
+
+
+# Runs of timeouts long enough to reach any threshold, between runs of
+# finished episodes; every outcome sequence is such a concatenation.
+outcome_sequences = st.lists(
+    st.tuples(st.integers(0, 25), st.integers(0, 3)), max_size=20,
+).map(lambda runs: [t for stuck, done in runs
+                    for t in [True] * stuck + [False] * done])
+
+
+@settings(max_examples=200, deadline=None)
+@given(outcome_sequences, st.integers(1, 20))
+def test_stuck_counter_matches_reference_rule(outcomes, threshold):
+    counter = StuckCounter(threshold=threshold)
+    counts, fired = [], []
+    for episode, timed_out in enumerate(outcomes):
+        decision = counter.update(timed_out)
+        assert decision.new_count == counter.count
+        counts.append(counter.count)
+        if decision.reanneal:
+            fired.append(episode)
+    assert (counts, fired) == reference_stuck_counts(outcomes, threshold)

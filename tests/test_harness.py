@@ -386,6 +386,12 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             RunConfig(replay_capacity=8, agent=AgentConfig(batch_size=16))
 
+    @pytest.mark.parametrize("output_dir", ["", " ", "runs/a b ", " runs/a",
+                                            "runs/a\n", "\truns/a"])
+    def test_output_dir_empty_or_padded_rejected(self, output_dir):
+        with pytest.raises(ValueError, match="output_dir"):
+            RunConfig(output_dir=output_dir)
+
     def test_defaults_per_env(self):
         assert default_config("lander").episodes == 10_000
         assert default_config("hovertrap").episodes == 2_000

@@ -228,6 +228,16 @@ def scalar_adam_reference(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     return theta
 
 
+def textbook_adam_step(theta, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Kingma & Ba's update written out with fresh temporaries, in place,
+    with no flush of small moments."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+
+
 def scalar_net():
     # One weight, no bias contribution matters: 1-in 1-out linear net.
     p = NetworkParams((1, 1), [np.array([[0.0]])], [np.array([0.0])])
@@ -264,6 +274,31 @@ class TestAdam:
         assert state.step_count == 2
         assert p.weights[0][0, 0] == pytest.approx(expected, abs=1e-12)
 
+    def test_subnormal_moments_flushed_every_period(self):
+        rng = np.random.default_rng(21)
+        p = small_net(rng)
+        state = init_adam_state(p)
+        state.m.flat[:] = rng.normal(size=p.flat.size)
+        state.v.flat[:] = rng.uniform(0.5, 1.0, size=p.flat.size)
+        state.m.flat[3] = 5e-324  # the smallest subnormal: fl(0.9*m) == m
+        state.v.flat[7] = 1e-310
+        theta, m, v = p.flat.copy(), state.m.flat.copy(), state.v.flat.copy()
+        zero = NetworkParams(p.layer_sizes)
+        for t in range(1, mlp.ADAM_FLUSH_PERIOD + 1):
+            if t == mlp.ADAM_FLUSH_PERIOD:
+                # Nothing is flushed before the period's last step.
+                assert np.array_equal(state.m.flat, m)
+                assert np.array_equal(state.v.flat, v)
+            adam_step(p, zero, state, lr=0.01)
+            textbook_adam_step(theta, zero.flat, m, v, t, lr=0.01)
+        assert m[3] == 5e-324 and 0 < v[7] < np.finfo(float).tiny
+        assert state.m.flat[3] == 0.0 and state.v.flat[7] == 0.0
+        assert np.array_equal(p.flat, theta)
+        others = np.ones(p.flat.size, dtype=bool)
+        others[[3, 7]] = False
+        assert np.array_equal(state.m.flat[others], m[others])
+        assert np.array_equal(state.v.flat[others], v[others])
+
     def test_nonfinite_gradients_refused(self):
         p = scalar_net()
         state = init_adam_state(p)
@@ -285,20 +320,16 @@ class TestLeanPathsEquivalence:
         ref_m = [np.zeros_like(a) for a in ref.weights + ref.biases]
         ref_v = [np.zeros_like(a) for a in ref.weights + ref.biases]
         state = init_adam_state(fused)
-        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
-        for t in range(1, 6):
+        lr = 0.01
+        # 70 steps cross one flush of small moments, which must change
+        # nothing here: no moment gets near the subnormal range.
+        for t in range(1, 71):
             g = small_net(rng)  # random values in gradient shapes
             adam_step(fused, g, state, lr)
-            # Textbook form, written out per array with fresh temporaries.
             for theta, gr, m, v in zip(ref.weights + ref.biases,
                                        g.weights + g.biases, ref_m, ref_v):
-                m *= b1
-                m += (1.0 - b1) * gr
-                v *= b2
-                v += (1.0 - b2) * (gr * gr)
-                theta -= lr * (m / (1.0 - b1**t)) / (
-                    np.sqrt(v / (1.0 - b2**t)) + eps)
-        assert state.step_count == 5
+                textbook_adam_step(theta, gr, m, v, t, lr)
+        assert state.step_count == 70
         assert np.array_equal(fused.flat, ref.flat)
         for moments, ref_list in ((state.m, ref_m), (state.v, ref_v)):
             for a, c in zip(moments.weights + moments.biases, ref_list):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from reanneal_rl.envs import Experience
@@ -158,3 +160,36 @@ def test_len_reports_current_size():
     for _ in range(7):
         buf.push(Experience(np.zeros(2), 0, 0.0, np.zeros(2), False))
     assert len(buf) == 5
+
+
+def as_row(exp):
+    return (tuple(exp.state), int(exp.action), float(exp.reward),
+            tuple(exp.next_state), bool(exp.done), bool(exp.timed_out))
+
+
+small = st.floats(-1e6, 1e6, allow_nan=False)
+experiences = st.builds(
+    lambda state, action, reward, next_state, end: Experience(
+        np.array(state), action, reward, np.array(next_state), *end),
+    st.tuples(small, small), st.integers(0, 3), small, st.tuples(small, small),
+    st.sampled_from([(False, False), (True, False), (False, True)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.lists(experiences, max_size=30),
+       st.integers(1, 8), st.integers(0, 2**32))
+def test_ring_buffer_matches_list_model(capacity, pushes, batch, seed):
+    buf = ReplayBuffer(capacity=capacity, obs_size=2)
+    model = []
+    for exp in pushes:
+        buf.push(exp)
+        model.append(as_row(exp))
+        kept = model[-capacity:]
+        assert len(buf) == len(kept)
+        assert buf.insert_count == len(model)
+        assert [as_row(e) for e in as_list(buf)] == kept
+    if len(buf) >= batch:
+        columns = buf.sample_arrays(batch, np.random.default_rng(seed))
+        for fields in zip(*columns):
+            assert as_row(Experience(*fields)) in model[-capacity:]

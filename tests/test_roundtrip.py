@@ -41,8 +41,8 @@ def run_configs(draw):
         epsilon_min=draw(st.floats(min_value=0.0, max_value=1.0)),
         hidden_sizes=tuple(draw(st.lists(st.integers(1, 10**4), max_size=4))),
         replay_capacity=draw(st.integers(agent.batch_size, 10**9)),
-        output_dir=draw(st.text(
-            "abcXYZ019_-./%", min_size=1, max_size=30)),
+        output_dir=draw(st.text("abcXYZ019_-./% ", min_size=1, max_size=30)
+                        .filter(lambda path: path == path.strip())),
         checkpoint_every=draw(st.integers(0, 10**6)),
         moving_average_window=draw(st.integers(1, 10**6)),
         agent=agent,
