@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -64,7 +65,9 @@ class Agent:
     def train_step(self, buffer, rng):
         """Sample a batch, backpropagate, apply one Adam step to the online
         network. Returns the batch mean loss, or None when the buffer is
-        still below min_replay_before_training (step skipped)."""
+        still below min_replay_before_training (step skipped). A non-finite
+        loss skips the Adam step, so the network, the Adam moments and the
+        step count stay as they were."""
         gate = max(self.config.min_replay_before_training, self.config.batch_size)
         if len(buffer) < gate:
             return None
@@ -76,8 +79,9 @@ class Agent:
             self.online, states, actions, targets, self.config.kappa,
             grads=self._grads,
         )
-        mlp.adam_step(self.online, self._grads, self.optimizer,
-                      self.config.learning_rate)
+        if math.isfinite(loss):
+            mlp.adam_step(self.online, self._grads, self.optimizer,
+                          self.config.learning_rate)
         return loss
 
     def sync_target(self):

@@ -66,7 +66,11 @@ def build_parser():
 def _resolve_seed(args_seed):
     if args_seed is not None:
         return args_seed
-    return int(os.environ.get(SEED_ENV_VAR, 0))
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} = {raw!r} is not a valid int") from None
 
 
 def _cmd_train(args):
@@ -146,11 +150,20 @@ def _cmd_plot(args):
 
 
 def _cmd_eval(args):
+    if args.episodes < 1:
+        raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     agent, meta = load_checkpoint(args.checkpoint)
     env_name = meta.get("env")
     if env_name is None:
         raise RuntimeError("checkpoint metadata is missing the environment name")
     env = make_env(env_name)
+    sizes = agent.online.layer_sizes
+    expected = (env.spec.observation_size, env.spec.action_count)
+    if (sizes[0], sizes[-1]) != expected:
+        raise ValueError(
+            f"checkpoint {args.checkpoint} has {sizes[0]} inputs and "
+            f"{sizes[-1]} outputs, but {env_name} has {expected[0]} "
+            f"observations and {expected[1]} actions")
     rng = np.random.default_rng(_resolve_seed(args.seed))
     returns = evaluate_greedy(agent, env, args.episodes, rng)
     print(f"{env_name}: greedy return over {args.episodes} episodes: "

@@ -66,6 +66,11 @@ class RunConfig:
     def __post_init__(self):
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if any(n < 1 for n in self.hidden_sizes):
+            raise ValueError(
+                f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
         if self.moving_average_window < 1:
             raise ValueError("moving_average_window must be >= 1")
         if not 0 < self.decay_rate <= 1:

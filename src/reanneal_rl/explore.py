@@ -86,12 +86,9 @@ class StuckCounter:
 def select_epsilon_greedy(q_values, schedule, rng):
     """Greedy action with probability 1 - schedule.epsilon, else uniform over
     all actions (the greedy one included). Ties break to the lowest index."""
-    q = np.asarray(q_values, dtype=float)
-    if q.ndim != 1 or q.shape[0] < 1:
-        raise ValueError("q_values must be a non-empty vector")
     if rng.random() < schedule.epsilon:
-        return int(rng.integers(0, q.shape[0]))
-    return int(np.argmax(q))
+        return int(rng.integers(0, len(q_values)))
+    return int(np.argmax(q_values))
 
 
 def softmax_probabilities(q_values, temperature):

@@ -28,7 +28,9 @@ CSV_HEADER = "episode,steps,total_reward,epsilon,stuck,reannealed,mean_loss,wall
 
 
 class TrainingDiverged(RuntimeError):
-    """A non-finite training loss; `record` is the episode's partial row."""
+    """A non-finite training loss, the one divergence check of a run
+    (Agent.train_step skips Adam on it); `record` is the episode's partial
+    row."""
 
     def __init__(self, message, record):
         super().__init__(message)

@@ -143,24 +143,12 @@ def _layers(params, x, acts=None):
 
 def forward(params, observation):
     """Q-values for a single observation (1-D input, 1-D output)."""
-    x = np.asarray(observation, dtype=float)
-    if x.ndim != 1 or x.shape[0] != params.layer_sizes[0]:
-        raise ValueError(
-            f"observation has shape {x.shape}, expected ({params.layer_sizes[0]},)"
-        )
-    return _layers(params, x)
+    return _layers(params, np.asarray(observation, dtype=float))
 
 
 def forward_batch(params, observations):
     """Row-wise Q-values for a batch of observations (B x in -> B x out)."""
-    x = np.asarray(observations, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError(f"batch has shape {x.shape}, expected (B, in) with B >= 1")
-    if x.shape[1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"batch width {x.shape[1]} != input size {params.layer_sizes[0]}"
-        )
-    return _layers(params, x)
+    return _layers(params, np.asarray(observations, dtype=float))
 
 
 def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
@@ -170,20 +158,13 @@ def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
     selected action's output unit receives loss signal per sample. Returns
     (gradients, mean_loss), the gradients as NetworkParams. They are written
     into `grads` when it is given (a workspace of the same layer sizes,
-    reused across steps) and into a fresh buffer otherwise.
+    reused across steps) and into a fresh buffer otherwise. Inputs are not
+    checked: a non-finite target gives a non-finite loss and gradients.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
     x = np.asarray(batch_obs, dtype=float)
     actions = np.asarray(actions, dtype=int)
     targets = np.asarray(targets, dtype=float)
-    if not np.isfinite(targets).all():
-        raise ValueError("non-finite targets")
     batch = x.shape[0]
-    if actions.shape != (batch,) or targets.shape != (batch,):
-        raise ValueError("actions/targets must be 1-D of batch length")
-    if (actions < 0).any() or (actions >= params.layer_sizes[-1]).any():
-        raise ValueError("action id out of range")
 
     # Forward pass, keeping post-activation values per layer.
     acts = [x]
@@ -219,12 +200,9 @@ def adam_step(params, grads, state, lr):
     ADAM_FLUSH_PERIOD-th step, moment entries below the smallest normal
     double are then set to 0.0 (see the module docstring).
 
-    Returns (params, state) for convenience. Refuses non-finite gradients.
+    Returns (params, state) for convenience. Gradients are not checked;
+    Agent.train_step skips the call when the loss is not finite.
     """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if not np.isfinite(grads.flat).all():
-        raise ValueError("non-finite gradients, update refused")
     theta, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
     a, b = state.scratch
     state.step_count += 1

@@ -13,6 +13,13 @@ from reanneal_rl.harness import EpisodeRecord, read_metrics_csv
 from reanneal_rl.plotting import emit_reward_plot
 
 
+def one_error(capsys):
+    """The single stderr line of a failed command, which must be an error."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
+
+
 def records_for_plot(n=20):
     rng = np.random.default_rng(0)
     return [
@@ -200,6 +207,61 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "exp.cfg" in err[0] and "episodes" in err[0] and "'ten'" in err[0]
         assert not out.exists()
+
+    def test_negative_seed_flag_reports_one_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                         "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert "seed" in one_error(capsys)
+        assert not out.exists()
+
+    def test_zero_hidden_size_in_config_file_reports_one_error(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nenv = hovertrap\nhidden_sizes = 0\n")
+        out = tmp_path / "run"
+        code = cli_main(["train", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "hidden_sizes" in one_error(capsys)
+        assert not out.exists()
+
+    def test_non_integer_seed_env_var_named(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv("REANNEAL_RL_SEED", "abc")
+        out = tmp_path / "run"
+        code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                         "--out", str(out)])
+        assert code == 1
+        err = one_error(capsys)
+        assert "REANNEAL_RL_SEED" in err and "'abc'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_eval_episodes_below_one_reports_one_error(self, tmp_path, capsys,
+                                                       episodes):
+        out = tmp_path / "run"
+        cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                  "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        code = cli_main(["eval", "--checkpoint", str(out / "final"),
+                         "--episodes", episodes])
+        assert code == 1
+        assert "--episodes" in one_error(capsys)
+
+    def test_eval_checkpoint_for_another_env_reports_one_error(
+            self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                  "--seed", "2", "--out", str(out)])
+        meta = out / "final.meta"
+        meta.write_text(meta.read_text().replace("env=hovertrap", "env=lander"))
+        capsys.readouterr()
+        code = cli_main(["eval", "--checkpoint", str(out / "final")])
+        assert code == 1
+        err = one_error(capsys)
+        assert "85 inputs and 2 outputs" in err
+        assert "lander has 8 observations and 4 actions" in err
 
     def test_plot_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -219,6 +219,23 @@ class TestRunTraining:
         assert lines[1].rsplit(",", 1)[0] == "0,1,0,1,0,0,inf"
         assert not list(out.glob("final.*"))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_huge_learning_rate_raises_and_writes_partial_row(self, tmp_path):
+        # The first Adam step moves the weights by about 1e200, so the next
+        # step's Q-values, targets and loss are no longer finite.
+        config = default_config("hovertrap")
+        config = replace(config, episodes=2, output_dir=str(tmp_path / "run"),
+                         agent=replace(config.agent, learning_rate=1e200))
+        with pytest.raises(TrainingDiverged,
+                           match=r"^non-finite loss at episode 0, step 1$"):
+            run_training(config)
+        lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 2
+        assert lines[1].startswith("0,2,")
+        assert not list((tmp_path / "run").glob("final.*"))
+
     def test_target_sync_every_period(self, tmp_path):
         # Instrumented 60-episode run at sync period 20: the target is
         # bitwise constant between syncs and equals the online net right
@@ -359,6 +376,9 @@ class TestConfigFile:
         ("run", "stuck_threshold", "0"),
         ("run", "replay_capacity", "63"),
         ("run", "episodes", "0"),
+        ("run", "seed", "-1"),
+        ("run", "hidden_sizes", "0"),
+        ("run", "hidden_sizes", "32,0"),
         ("agent", "batch_size", "501"),
         ("agent", "gamma", "1.5"),
         ("agent", "learning_rate", "-1"),

@@ -92,11 +92,6 @@ class TestForwardBatch:
         out = forward_batch(p, np.stack([row, row]))
         assert np.array_equal(out[0], out[1])
 
-    def test_empty_batch_rejected(self):
-        p = small_net(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            forward_batch(p, np.zeros((0, 5)))
-
 
 class TestHuberLoss:
     def test_zero_error_zero_loss(self):
@@ -202,11 +197,6 @@ class TestBackward:
                         grads2.weights + grads2.biases):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
-    def test_nonfinite_targets_rejected(self):
-        p = small_net(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            backward(p, np.zeros((1, 5)), [0], [np.nan])
-
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
@@ -298,15 +288,6 @@ class TestAdam:
         others[[3, 7]] = False
         assert np.array_equal(state.m.flat[others], m[others])
         assert np.array_equal(state.v.flat[others], v[others])
-
-    def test_nonfinite_gradients_refused(self):
-        p = scalar_net()
-        state = init_adam_state(p)
-        grads = NetworkParams((1, 1), [np.array([[np.inf]])],
-                              [np.array([0.0])])
-        with pytest.raises(ValueError):
-            adam_step(p, grads, state, lr=0.01)
-        assert state.step_count == 0
 
 
 class TestLeanPathsEquivalence:
