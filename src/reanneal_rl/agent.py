@@ -71,7 +71,7 @@ class Agent:
         gate = max(self.config.min_replay_before_training, self.config.batch_size)
         if len(buffer) < gate:
             return None
-        states, actions, rewards, next_states, dones, _ = buffer.sample_arrays(
+        states, actions, rewards, next_states, dones = buffer.sample_arrays(
             self.config.batch_size, rng
         )
         targets = self._targets(rewards, next_states, dones, self._rows)

@@ -36,11 +36,6 @@ class BanditSpec:
 
 
 @dataclass
-class RegretCurve:
-    cumulative_regret: np.ndarray
-
-
-@dataclass
 class Greedy:
     pass
 
@@ -76,7 +71,8 @@ def gap(spec):
 
 
 def run_bandit(spec, strategy, rng):
-    """Simulate one bandit run; returns the cumulative expected regret curve.
+    """Simulate one bandit run; returns the cumulative expected regret per
+    step as an array of length spec.horizon.
 
     Value estimates are incremental sample means initialized at zero. The
     per-step regret is best-mean minus the true mean of the pulled arm.
@@ -122,4 +118,4 @@ def run_bandit(spec, strategy, rng):
         estimates[arm] += (reward - estimates[arm]) / pulls[arm]
         total += best_mean - means[arm]
         regret[t - 1] = total
-    return RegretCurve(regret)
+    return regret

@@ -64,13 +64,18 @@ def build_parser():
 
 
 def _resolve_seed(args_seed):
+    """--seed, else REANNEAL_RL_SEED, else 0; an error names the source."""
     if args_seed is not None:
-        return args_seed
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} = {raw!r} is not a valid int") from None
+        seed, source = args_seed, "--seed"
+    else:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed, source = int(raw), SEED_ENV_VAR
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} = {raw!r} is not a valid int") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _cmd_train(args):
@@ -93,7 +98,10 @@ def _cmd_train(args):
     # replace() reruns the config's validation on the flag values.
     config = replace(config, **overrides)
 
-    records = run_training(config)
+    # A diverging run stops with TrainingDiverged, the one error line;
+    # numpy's overflow warnings on the way there would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = run_training(config)
     emit_reward_plot(
         records,
         os.path.join(config.output_dir, "rewards.svg"),
@@ -124,7 +132,7 @@ def _cmd_bandit(args):
         total = np.zeros(args.horizon)
         for seed in range(args.seeds):
             rng = np.random.default_rng(seed)
-            total += bandit_mod.run_bandit(spec, strategy, rng).cumulative_regret
+            total += bandit_mod.run_bandit(spec, strategy, rng)
         columns.append(total / args.seeds)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "regret.csv")

@@ -29,7 +29,6 @@ class Experience:
 class EnvSpec:
     observation_size: int
     action_count: int
-    max_episode_steps: int
 
 
 def episode(env, act, rng=None):

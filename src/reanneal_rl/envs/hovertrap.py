@@ -67,11 +67,7 @@ def transition(altitude, velocity, action):
 
 
 class HoverTrapEnv:
-    spec = EnvSpec(
-        observation_size=OBS_SIZE,
-        action_count=2,
-        max_episode_steps=MAX_EPISODE_STEPS,
-    )
+    spec = EnvSpec(observation_size=OBS_SIZE, action_count=2)
 
     def __init__(self):
         self.altitude = None

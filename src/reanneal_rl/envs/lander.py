@@ -85,9 +85,7 @@ def pad_bonus(x):
 
 
 class LanderEnv:
-    spec = EnvSpec(
-        observation_size=8, action_count=4, max_episode_steps=MAX_EPISODE_STEPS
-    )
+    spec = EnvSpec(observation_size=8, action_count=4)
 
     def __init__(self):
         self.state = None
@@ -98,10 +96,8 @@ class LanderEnv:
         # rest, -100 for crash, None for out-of-bounds or timeout.
         self.last_terminal_bonus = None
 
-    def reset(self, rng=None):
+    def reset(self, rng):
         """Spawn near top-center with small random velocity and tilt."""
-        if rng is None:
-            rng = np.random.default_rng()
         self.state = LanderState(
             x=rng.uniform(-0.1, 0.1),
             y=rng.uniform(1.1, 1.3),

@@ -53,34 +53,27 @@ class SoftmaxSchedule:
 
 
 @dataclass
-class ReannealDecision:
-    reanneal: bool
-    new_count: int
-
-
-@dataclass
 class StuckCounter:
     """Counts consecutive-ish timeout episodes (the hovering heuristic)."""
 
     count: int = 0
     threshold: int = 10
 
-    def update(self, episode_timed_out):
-        """Apply one episode outcome and decide whether to reanneal.
+    def update(self, timed_out):
+        """Apply one episode outcome; returns True when it fires a reanneal.
 
         Timeout increments the count; a finished episode halves it (integer
         division). Reaching the threshold fires exactly one reanneal and
-        resets the count to 0. Mutates the counter and returns the decision.
+        resets the count to 0.
         """
-        if episode_timed_out:
-            new_count = self.count + 1
+        if timed_out:
+            self.count += 1
         else:
-            new_count = self.count // 2
-        if new_count >= self.threshold:
+            self.count //= 2
+        if self.count >= self.threshold:
             self.count = 0
-            return ReannealDecision(reanneal=True, new_count=0)
-        self.count = new_count
-        return ReannealDecision(reanneal=False, new_count=new_count)
+            return True
+        return False
 
 
 def select_epsilon_greedy(q_values, schedule, rng):

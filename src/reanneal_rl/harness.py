@@ -54,8 +54,6 @@ def moving_average(values, window):
     if window < 1:
         raise ValueError("window must be >= 1")
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return np.array([])
     csum = np.concatenate([[0.0], np.cumsum(v)])
     idx = np.arange(v.size)
     starts = np.maximum(0, idx - window + 1)
@@ -156,7 +154,7 @@ class Trainer:
                 loss_count += 1
             total_reward += exp.reward
 
-        reannealed = (self.stuck.update(exp.timed_out).reanneal
+        reannealed = (self.stuck.update(exp.timed_out)
                       and self.config.reanneal_enabled)
         if reannealed:
             schedule.reanneal()

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_LAYER_SIZES = (8, 200, 60, 4)
-
 CHECKPOINT_MAGIC = b"RQNET1"
 
 
@@ -44,19 +42,17 @@ class NetworkParams:
     length layer_sizes[l+1]. Both are views into the single 1-D buffer
     `flat`, layer by layer in the order w0, b0, w1, b1, ..., which lets the
     optimizer update every parameter with a few whole-buffer operations.
-    Given `flat`, the views share it; given `weights` and `biases` lists,
-    their values are copied into a new buffer; given neither, all are zero.
+    The views share `flat` when it is given; otherwise all are zero.
     """
 
     layer_sizes: tuple
-    weights: list = field(default=None, repr=False)
-    biases: list = field(default=None, repr=False)
     flat: np.ndarray = field(default=None, repr=False)
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.flat is None:
             self.flat = np.zeros(param_count(self.layer_sizes))
-        given = None if self.weights is None else self.weights + self.biases
         self.weights, self.biases = [], []
         offset = 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
@@ -65,14 +61,6 @@ class NetworkParams:
             offset += fan_out * fan_in
             self.biases.append(self.flat[offset:offset + fan_out])
             offset += fan_out
-        if given is not None:
-            views = self.weights + self.biases
-            shapes = [np.shape(a) for a in given]
-            if shapes != [view.shape for view in views]:
-                raise ValueError(f"weight and bias shapes {shapes} do not "
-                                 f"match layer sizes {self.layer_sizes}")
-            for view, values in zip(views, given):
-                view[...] = values
 
     @property
     def n_layers(self):
@@ -103,10 +91,8 @@ def param_count(layer_sizes):
     )
 
 
-def init_params(layer_sizes=DEFAULT_LAYER_SIZES, rng=None):
+def init_params(layer_sizes, rng):
     """He-uniform weight init (bound sqrt(6/fan_in)), zero biases."""
-    if rng is None:
-        rng = np.random.default_rng()
     layer_sizes = tuple(int(n) for n in layer_sizes)
     if len(layer_sizes) < 2 or any(n < 1 for n in layer_sizes):
         raise ValueError(f"bad layer sizes {layer_sizes}")

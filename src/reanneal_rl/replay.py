@@ -25,7 +25,6 @@ class ReplayBuffer:
         self._rewards = np.zeros(self.capacity)
         self._next_states = np.zeros((self.capacity, self.obs_size))
         self._dones = np.zeros(self.capacity, dtype=bool)
-        self._timed_out = np.zeros(self.capacity, dtype=bool)
         self._size = 0
         self._next = 0
         self.insert_count = 0
@@ -48,15 +47,13 @@ class ReplayBuffer:
         self._rewards[i] = exp.reward
         self._next_states[i] = next_state
         self._dones[i] = exp.done
-        self._timed_out[i] = exp.timed_out
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
         self.insert_count += 1
 
     def sample_arrays(self, batch_size, rng):
         """Uniform sample with replacement, deterministic per rng state, as
-        stacked arrays (states, actions, rewards, next_states, dones,
-        timed_out)."""
+        stacked arrays (states, actions, rewards, next_states, dones)."""
         idx = self._sample_indices(batch_size, rng)
         return (
             self._states.take(idx, axis=0),
@@ -64,7 +61,6 @@ class ReplayBuffer:
             self._rewards.take(idx),
             self._next_states.take(idx, axis=0),
             self._dones.take(idx),
-            self._timed_out.take(idx),
         )
 
     def _sample_indices(self, batch_size, rng):

@@ -286,7 +286,7 @@ class TestCheckpoint:
     def test_adam_moments_of_other_sizes_rejected(self, tmp_path):
         prefix = str(tmp_path / "ckpt")
         save_checkpoint(make_agent(seed=34), prefix)
-        mlp.save_network(mlp.init_params((4, 8, 3)), prefix + ".adam_m.net")
+        mlp.save_network(mlp.NetworkParams((4, 8, 3)), prefix + ".adam_m.net")
         with pytest.raises(ValueError, match="Adam m layer sizes"):
             load_checkpoint(prefix)
 

@@ -54,8 +54,7 @@ class TestRunBandit:
         # Noise-free: zero-init estimates tie, arm 0 wins the tie, pays 0.1
         # forever, and the greedy agent never revisits arm 1.
         spec = BanditSpec([0.1, 0.9], noise_std=0.0, horizon=1000)
-        curve = run_bandit(spec, Greedy(), np.random.default_rng(0))
-        regret = curve.cumulative_regret
+        regret = run_bandit(spec, Greedy(), np.random.default_rng(0))
         assert regret[-1] == pytest.approx(0.8 * 1000)
         # Perfectly linear growth.
         np.testing.assert_allclose(np.diff(regret), 0.8, atol=1e-12)
@@ -67,16 +66,15 @@ class TestRunBandit:
         for seed in range(8):
             curve = run_bandit(spec, ConstantEps(0.1),
                                np.random.default_rng(seed))
-            totals.append(curve.cumulative_regret[-1] / spec.horizon)
+            totals.append(curve[-1] / spec.horizon)
         assert np.mean(totals) == pytest.approx(0.05, rel=0.2)
 
     def test_decaying_eps_sublinear_vs_constant_linear(self):
         spec = two_arm_spec(horizon=100_000)
         T = 50_000
         rng = np.random.default_rng(42)
-        const = run_bandit(spec, ConstantEps(0.1), rng).cumulative_regret
-        decay = run_bandit(spec, DecayingEps(10.0),
-                           np.random.default_rng(42)).cumulative_regret
+        const = run_bandit(spec, ConstantEps(0.1), rng)
+        decay = run_bandit(spec, DecayingEps(10.0), np.random.default_rng(42))
         assert decay[2 * T - 1] / decay[T - 1] < 1.5
         assert const[2 * T - 1] / const[T - 1] >= 1.9
 
@@ -85,8 +83,8 @@ class TestRunBandit:
         for strategy in (Greedy(), ConstantEps(0.1), DecayingEps(10.0)):
             for seed in (0, 1):
                 curve = run_bandit(spec, strategy, np.random.default_rng(seed))
-                assert np.all(np.diff(curve.cumulative_regret) >= -1e-12)
-                assert curve.cumulative_regret[0] >= 0.0
+                assert np.all(np.diff(curve) >= -1e-12)
+                assert curve[0] >= 0.0
 
     def test_full_exploration_mean_regret(self):
         # eps = 1: per-step expected regret is the mean of (V* - mu_k).
@@ -96,7 +94,7 @@ class TestRunBandit:
         for seed in range(10):
             curve = run_bandit(spec, ConstantEps(1.0),
                                np.random.default_rng(seed))
-            rates.append(curve.cumulative_regret[-1] / spec.horizon)
+            rates.append(curve[-1] / spec.horizon)
         # Per-step regret is a bounded i.i.d. draw; 3 sigma on the pooled mean.
         sigma = np.std(1.0 - spec.arm_means) / np.sqrt(10 * spec.horizon)
         assert abs(np.mean(rates) - expect) < 3 * sigma
@@ -106,9 +104,9 @@ class TestRunBandit:
         wins = 0
         for seed in range(20):
             const = run_bandit(spec, ConstantEps(0.1),
-                               np.random.default_rng(seed)).cumulative_regret
+                               np.random.default_rng(seed))
             decay = run_bandit(spec, DecayingEps(10.0),
-                               np.random.default_rng(1000 + seed)).cumulative_regret
+                               np.random.default_rng(1000 + seed))
             above = decay >= const
             # Dominated from the last crossing onward, which must happen
             # strictly before the horizon.
@@ -121,7 +119,7 @@ class TestRunBandit:
         spec = two_arm_spec(horizon=2000)
         a = run_bandit(spec, DecayingEps(10.0), np.random.default_rng(3))
         b = run_bandit(spec, DecayingEps(10.0), np.random.default_rng(3))
-        np.testing.assert_array_equal(a.cumulative_regret, b.cumulative_regret)
+        np.testing.assert_array_equal(a, b)
 
     def test_invalid_strategy_parameters_rejected(self):
         with pytest.raises(ValueError):

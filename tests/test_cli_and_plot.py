@@ -237,6 +237,32 @@ class TestCli:
         assert "REANNEAL_RL_SEED" in err and "'abc'" in err
         assert not out.exists()
 
+    def test_negative_seed_env_var_named_before_output_dir_exists(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REANNEAL_RL_SEED", "-1")
+        out = tmp_path / "run"
+        code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                         "--out", str(out)])
+        assert code == 1
+        assert "REANNEAL_RL_SEED must be >= 0, got -1" in one_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env_value, source", [
+        (["--seed", "-1"], None, "--seed"),
+        ([], "-1", "REANNEAL_RL_SEED"),
+    ])
+    def test_eval_negative_seed_names_its_source(
+            self, tmp_path, capsys, monkeypatch, flag, env_value, source):
+        out = tmp_path / "run"
+        cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                  "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        if env_value is not None:
+            monkeypatch.setenv("REANNEAL_RL_SEED", env_value)
+        code = cli_main(["eval", "--checkpoint", str(out / "final"), *flag])
+        assert code == 1
+        assert f"{source} must be >= 0, got -1" in one_error(capsys)
+
     @pytest.mark.parametrize("episodes", ["0", "-2"])
     def test_eval_episodes_below_one_reports_one_error(self, tmp_path, capsys,
                                                        episodes):
@@ -323,10 +349,15 @@ class TestCli:
         assert len(read_metrics_csv(out / "metrics.csv")) == 6
 
 
+def src_on_path():
+    """PYTHONPATH for a subprocess that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 @pytest.mark.parametrize("module", ["reanneal_rl", "reanneal_rl.cli"])
 def test_python_dash_m_runs_the_command(tmp_path, module):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = src_on_path()
     out = tmp_path / "bandit"
     result = subprocess.run(
         [sys.executable, "-m", module, "bandit", "--horizon", "10",
@@ -336,3 +367,22 @@ def test_python_dash_m_runs_the_command(tmp_path, module):
     )
     assert result.returncode == 0, result.stderr
     assert (out / "regret.csv").exists()
+
+
+def test_diverging_run_prints_only_the_error_line(tmp_path):
+    """numpy's overflow warnings would come before the error; the train
+    command silences them, so stderr is the one error line."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[run]\nenv = hovertrap\nepisodes = 2\n"
+                   "[agent]\nlearning_rate = 1e200\n")
+    out = tmp_path / "run"
+    result = subprocess.run(
+        [sys.executable, "-m", "reanneal_rl", "train", "--config", str(cfg),
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src_on_path()}, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "error: non-finite loss at episode 0, step 1"]
+    assert len((out / "metrics.csv").read_text().splitlines()) == 2

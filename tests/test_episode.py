@@ -7,7 +7,7 @@ from reanneal_rl.envs.lander import LanderEnv
 class CountingEnv:
     """Observation i after i steps; done or timed out after `length` steps."""
 
-    spec = EnvSpec(observation_size=1, action_count=2, max_episode_steps=9)
+    spec = EnvSpec(observation_size=1, action_count=2)
 
     def __init__(self, length, done):
         self.length = length

@@ -178,29 +178,25 @@ class TestSoftmaxSchedule:
 class TestStuckCounter:
     def test_finished_episode_halves(self):
         counter = StuckCounter(count=3)
-        decision = counter.update(episode_timed_out=False)
-        assert not decision.reanneal
-        assert decision.new_count == 1
+        assert not counter.update(timed_out=False)
         assert counter.count == 1
 
     def test_threshold_triggers_reanneal_and_reset(self):
         counter = StuckCounter(count=9, threshold=10)
-        decision = counter.update(episode_timed_out=True)
-        assert decision.reanneal
-        assert decision.new_count == 0
+        assert counter.update(timed_out=True)
         assert counter.count == 0
 
     def test_halving_floor_at_zero(self):
         counter = StuckCounter(count=0)
-        decision = counter.update(episode_timed_out=False)
-        assert counter.count == 0 and not decision.reanneal
+        fired = counter.update(timed_out=False)
+        assert counter.count == 0 and not fired
 
     def test_exactly_one_reanneal_over_threshold_timeouts(self):
         counter = StuckCounter(count=0, threshold=10)
-        fired = [counter.update(True).reanneal for _ in range(10)]
+        fired = [counter.update(True) for _ in range(10)]
         assert fired == [False] * 9 + [True]
         # Counting starts over afterwards.
-        assert not counter.update(True).reanneal
+        assert not counter.update(True)
         assert counter.count == 1
 
     def test_paper_trace_mixed_outcomes(self):
@@ -208,8 +204,7 @@ class TestStuckCounter:
         outcomes = [True, True, True, False, True, True]
         expected_counts = [1, 2, 3, 1, 2, 3]
         for timed_out, expect in zip(outcomes, expected_counts):
-            decision = counter.update(timed_out)
-            assert not decision.reanneal
+            assert not counter.update(timed_out)
             assert counter.count == expect
 
 
@@ -242,9 +237,7 @@ def test_stuck_counter_matches_reference_rule(outcomes, threshold):
     counter = StuckCounter(threshold=threshold)
     counts, fired = [], []
     for episode, timed_out in enumerate(outcomes):
-        decision = counter.update(timed_out)
-        assert decision.new_count == counter.count
-        counts.append(counter.count)
-        if decision.reanneal:
+        if counter.update(timed_out):
             fired.append(episode)
+        counts.append(counter.count)
     assert (counts, fired) == reference_stuck_counts(outcomes, threshold)

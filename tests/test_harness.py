@@ -32,7 +32,7 @@ def write_metrics_csv(records, path):
 class ScriptedTimeoutEnv:
     """Every episode runs `steps_per_episode` steps and then times out."""
 
-    spec = EnvSpec(observation_size=3, action_count=2, max_episode_steps=5)
+    spec = EnvSpec(observation_size=3, action_count=2)
     reward = 0.0
 
     def __init__(self, steps_per_episode=5):
@@ -72,7 +72,8 @@ class TestMovingAverage:
         np.testing.assert_allclose(moving_average([0.0, 10.0], 2), [0.0, 5.0])
 
     def test_empty_input(self):
-        assert moving_average([], 3).size == 0
+        out = moving_average([], 3)
+        assert out.size == 0 and out.dtype == np.float64
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(0)
@@ -293,7 +294,7 @@ class TestPrefill:
         assert len(got) == len(want) == target_size
         assert got_rng == want_rng
         for name in ("_states", "_actions", "_rewards", "_next_states",
-                     "_dones", "_timed_out"):
+                     "_dones"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_capped_at_capacity(self):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reanneal_rl import mlp
 from reanneal_rl.mlp import (
@@ -45,8 +48,8 @@ class TestForward:
         assert np.array_equal(forward(p, np.ones(8)), np.zeros(4))
 
     def test_relu_clamps_negative_preactivation(self):
-        p = NetworkParams((1, 1, 1), [np.array([[1.0]]), np.array([[1.0]])],
-                          [np.array([-1.0]), np.array([0.0])])
+        # Flat order w0, b0, w1, b1.
+        p = NetworkParams((1, 1, 1), flat=np.array([1.0, -1.0, 1.0, 0.0]))
         assert forward(p, np.array([0.5]))[0] == 0.0
 
     def test_matches_naive_oracle(self):
@@ -230,8 +233,7 @@ def textbook_adam_step(theta, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 def scalar_net():
     # One weight, no bias contribution matters: 1-in 1-out linear net.
-    p = NetworkParams((1, 1), [np.array([[0.0]])], [np.array([0.0])])
-    return p
+    return NetworkParams((1, 1))
 
 
 class TestAdam:
@@ -248,7 +250,7 @@ class TestAdam:
     def test_first_step_matches_hand_computed_recurrence(self):
         p = scalar_net()
         state = init_adam_state(p)
-        grads = NetworkParams((1, 1), [np.array([[1.0]])], [np.array([0.0])])
+        grads = NetworkParams((1, 1), flat=np.array([1.0, 0.0]))
         adam_step(p, grads, state, lr=0.01)
         expected = scalar_adam_reference(0.0, [1.0], 0.01)
         assert p.weights[0][0, 0] == pytest.approx(expected, abs=1e-12)
@@ -257,7 +259,7 @@ class TestAdam:
     def test_two_steps_match_hand_computed_recurrence(self):
         p = scalar_net()
         state = init_adam_state(p)
-        grads = NetworkParams((1, 1), [np.array([[1.0]])], [np.array([0.0])])
+        grads = NetworkParams((1, 1), flat=np.array([1.0, 0.0]))
         adam_step(p, grads, state, lr=0.01)
         adam_step(p, grads, state, lr=0.01)
         expected = scalar_adam_reference(0.0, [1.0, 1.0], 0.01)
@@ -352,14 +354,6 @@ class TestLeanPathsEquivalence:
 
 
 class TestNetworkParams:
-    def test_lists_are_copied_into_one_flat_buffer(self):
-        w, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0])
-        p = NetworkParams((2, 2), [w], [b])
-        np.testing.assert_array_equal(p.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert np.shares_memory(p.weights[0], p.flat)
-        assert np.shares_memory(p.biases[0], p.flat)
-        assert not np.shares_memory(p.weights[0], w)
-
     def test_views_share_a_given_flat_buffer(self):
         flat = np.arange(6.0)
         p = NetworkParams((2, 2), flat=flat)
@@ -371,16 +365,29 @@ class TestNetworkParams:
         assert p.flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
         assert not p.flat.any()
 
-    @pytest.mark.parametrize("weights, biases", [
-        ([np.zeros((3, 2))], [np.zeros(1)]),       # bias would broadcast
-        ([np.zeros((2, 3))], [np.zeros(3)]),       # transposed weight
-        ([np.zeros((3, 2)), np.zeros((1, 3))], [np.zeros(3)]),  # extra layer
-        ([], []),
-    ])
-    def test_shapes_that_do_not_match_layer_sizes_rejected(self, weights,
-                                                            biases):
-        with pytest.raises(ValueError, match="do not match layer sizes"):
-            NetworkParams((2, 3), weights, biases)
+
+@st.composite
+def sizes_and_flat(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 10), min_size=2, max_size=4)))
+    flat = draw(arrays(np.float64, mlp.param_count(sizes),
+                       elements=st.floats(-1e6, 1e6)))
+    return sizes, flat
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes_and_flat())
+def test_flat_layout_is_w0_b0_w1_b1(case):
+    """The layout save_network, load_network and adam_step rely on: the
+    views, raveled in the order w0, b0, w1, b1, ..., are the flat buffer
+    itself."""
+    sizes, flat = case
+    p = NetworkParams(sizes, flat=flat)
+    assert flat.size == mlp.param_count(sizes)
+    views = [v for pair in zip(p.weights, p.biases) for v in pair]
+    np.testing.assert_array_equal(np.concatenate([v.ravel() for v in views]),
+                                  flat)
+    for v in views:
+        assert np.shares_memory(v, flat)
 
 
 class TestCloneParams:
@@ -418,7 +425,7 @@ class TestCheckpointFormat:
             assert np.array_equal(a, b)
 
     def test_magic_and_layout(self, tmp_path):
-        p = NetworkParams((2, 1), [np.array([[1.5, -2.5]])], [np.array([3.0])])
+        p = NetworkParams((2, 1), flat=np.array([1.5, -2.5, 3.0]))
         path = tmp_path / "net.bin"
         mlp.save_network(p, path)
         blob = path.read_bytes()

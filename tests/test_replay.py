@@ -9,10 +9,12 @@ from reanneal_rl.replay import ReplayBuffer
 
 
 def experience_at(buf, i):
-    """The experience stored in slot i of the ring."""
+    """The experience stored in slot i of the ring (the ring keeps no
+    timed_out column: a timed-out transition bootstraps like any other that
+    is not done)."""
     return Experience(buf._states[i].copy(), int(buf._actions[i]),
                       float(buf._rewards[i]), buf._next_states[i].copy(),
-                      bool(buf._dones[i]), bool(buf._timed_out[i]))
+                      bool(buf._dones[i]))
 
 
 def as_list(buf):
@@ -75,7 +77,7 @@ class TestSample:
     def test_single_element(self):
         buf = ReplayBuffer(capacity=4, obs_size=4)
         buf.push(make_exp(9))
-        states, _, rewards, _, _, _ = buf.sample_arrays(
+        states, _, rewards, _, _ = buf.sample_arrays(
             1, np.random.default_rng(0))
         assert rewards.tolist() == [9.0]
         assert np.array_equal(states, [np.full(4, 9.0)])
@@ -139,7 +141,7 @@ class TestSample:
                                 rng_fill.normal(size=3), tag % 5 == 0))
         idx = buf._sample_indices(8, np.random.default_rng(9))
         objs = [experience_at(buf, i) for i in idx]
-        states, actions, rewards, next_states, dones, timed_out = (
+        states, actions, rewards, next_states, dones = (
             buf.sample_arrays(8, np.random.default_rng(9))
         )
         for i, e in enumerate(objs):
@@ -148,7 +150,6 @@ class TestSample:
             assert rewards[i] == e.reward
             assert np.array_equal(next_states[i], e.next_state)
             assert dones[i] == e.done
-            assert timed_out[i] == e.timed_out
 
 
 def test_len_reports_current_size():
@@ -163,8 +164,9 @@ def test_len_reports_current_size():
 
 
 def as_row(exp):
+    """The fields the ring stores."""
     return (tuple(exp.state), int(exp.action), float(exp.reward),
-            tuple(exp.next_state), bool(exp.done), bool(exp.timed_out))
+            tuple(exp.next_state), bool(exp.done))
 
 
 small = st.floats(-1e6, 1e6, allow_nan=False)
