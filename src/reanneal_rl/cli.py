@@ -111,7 +111,9 @@ def _cmd_train(args):
     print(f"trained {len(records)} episodes on {config.env} "
           f"(seed {config.seed}, reanneal "
           f"{'on' if config.reanneal_enabled else 'off'})")
-    print(f"mean reward last 100 episodes: {np.mean(rewards[-100:]):.3f}")
+    window = min(100, len(rewards))
+    print(f"mean reward last {window} episodes: "
+          f"{np.mean(rewards[-window:]):.3f}")
     print(f"outputs in {config.output_dir}")
     return 0
 

@@ -5,7 +5,7 @@ import numpy as np
 
 @dataclass
 class StepResult:
-    observation: np.ndarray
+    observation: np.ndarray | int
     reward: float
     done: bool
     timed_out: bool
@@ -17,18 +17,23 @@ class Experience:
     off by the time limit store `timed_out` instead so the target still
     bootstraps."""
 
-    state: np.ndarray
+    state: np.ndarray | int
     action: int
     reward: float
-    next_state: np.ndarray
+    next_state: np.ndarray | int
     done: bool
     timed_out: bool = False
 
 
 @dataclass
 class EnvSpec:
+    """`index_observations` marks an env whose observation is an int in
+    [0, observation_size), the index of the one 1.0 in a one-hot row;
+    otherwise it is a float vector of length observation_size."""
+
     observation_size: int
     action_count: int
+    index_observations: bool = False
 
 
 def episode(env, act, rng=None):

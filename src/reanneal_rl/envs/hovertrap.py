@@ -12,8 +12,11 @@ the safe-landing corridor narrow: random play crashes about 97% of the time,
 so value estimates learned from mostly-random data favor hovering. That is
 the trap that exploration reannealing is meant to escape.
 
-States are (altitude, velocity) pairs, observed as a one-hot vector, so the
-same MLP agent used for the lander runs unchanged.
+States are (altitude, velocity) pairs. The observation is the state's index
+`altitude * (MAX_VELOCITY + 1) + velocity`, an int in [0, OBS_SIZE), and the
+spec marks it as an index: the network reads it as the one-hot row with a 1.0
+at that index, so the MLP agent used for the lander runs unchanged, and its
+first layer picks the weight column instead of multiplying a row of zeros.
 """
 
 from __future__ import annotations
@@ -36,10 +39,8 @@ ACTION_COAST = 1
 OBS_SIZE = (MAX_ALTITUDE + 1) * (MAX_VELOCITY + 1)
 
 
-def encode_observation(altitude, velocity):
-    obs = np.zeros(OBS_SIZE)
-    obs[altitude * (MAX_VELOCITY + 1) + velocity] = 1.0
-    return obs
+def state_index(altitude, velocity):
+    return altitude * (MAX_VELOCITY + 1) + velocity
 
 
 def transition(altitude, velocity, action):
@@ -67,7 +68,8 @@ def transition(altitude, velocity, action):
 
 
 class HoverTrapEnv:
-    spec = EnvSpec(observation_size=OBS_SIZE, action_count=2)
+    spec = EnvSpec(observation_size=OBS_SIZE, action_count=2,
+                   index_observations=True)
 
     def __init__(self):
         self.altitude = None
@@ -80,7 +82,7 @@ class HoverTrapEnv:
         self.velocity = 0
         self.step_index = 0
         self._terminal = False
-        return encode_observation(self.altitude, self.velocity)
+        return state_index(self.altitude, self.velocity)
 
     def step(self, action):
         if self._terminal:
@@ -91,7 +93,7 @@ class HoverTrapEnv:
         self.step_index += 1
         timed_out = not done and self.step_index >= MAX_EPISODE_STEPS
         self._terminal = done or timed_out
-        obs = encode_observation(self.altitude, self.velocity)
+        obs = state_index(self.altitude, self.velocity)
         return StepResult(obs, reward, done, timed_out)
 
 

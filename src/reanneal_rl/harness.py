@@ -117,7 +117,8 @@ class Trainer:
         )
         self.agent = Agent(config.agent, layer_sizes, rng_init)
         self.buffer = ReplayBuffer(config.replay_capacity,
-                                   env.spec.observation_size)
+                                   env.spec.observation_size,
+                                   env.spec.index_observations)
         self.schedule = EpsilonSchedule(epsilon_min=config.epsilon_min,
                                         decay_rate=config.decay_rate)
         self.stuck = StuckCounter(threshold=config.stuck_threshold)

@@ -108,18 +108,39 @@ def init_adam_state(params):
                      v=NetworkParams(params.layer_sizes))
 
 
+def _is_index(x):
+    """An int or an integer array is an index observation (see _layers)."""
+    return isinstance(x, (int, np.integer)) or (
+        isinstance(x, np.ndarray) and x.dtype.kind in "iu")
+
+
 def _layers(params, x, acts=None):
     """The layer loop shared by forward, forward_batch and backward.
 
     Works on a 1-D input or a batch of rows (`x @ w.T` is the same gemv as
     `w @ x` for a 1-D x). Each layer's bias is added and its ReLU applied
-    in place. With `acts`, the post-activation output of every layer is
-    appended to it.
+    in place. With `acts`, the input and then the post-activation output of
+    every layer are appended to it.
+
+    An index observation x (an int, or a 1-D integer array for a batch)
+    stands for the one-hot row with a 1.0 at x. The first layer reads
+    column x of its weights, w.T[x], which is that row's x @ w.T bit for
+    bit: every other product in it is a zero. For an int x, w.T[x] is a
+    view of the weights, so its bias add must not be in place. Any other
+    x is read as float64.
     """
+    index = _is_index(x)
+    if not index:
+        x = np.asarray(x, dtype=float)
+    if acts is not None:
+        acts.append(x)
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = x @ w.T
-        x += b
+        if index and l == 0:
+            x = w.T[x] + b
+        else:
+            x = x @ w.T
+            x += b
         if l < last:
             np.maximum(x, 0.0, out=x)
         if acts is not None:
@@ -128,13 +149,15 @@ def _layers(params, x, acts=None):
 
 
 def forward(params, observation):
-    """Q-values for a single observation (1-D input, 1-D output)."""
-    return _layers(params, np.asarray(observation, dtype=float))
+    """Q-values for a single observation (1-D input or an index, 1-D
+    output)."""
+    return _layers(params, observation)
 
 
 def forward_batch(params, observations):
-    """Row-wise Q-values for a batch of observations (B x in -> B x out)."""
-    return _layers(params, np.asarray(observations, dtype=float))
+    """Row-wise Q-values for a batch of observations (B x in, or B
+    indices, -> B x out)."""
+    return _layers(params, observations)
 
 
 def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
@@ -147,16 +170,21 @@ def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
     reused across steps) and into a fresh buffer otherwise. Inputs are not
     checked: a non-finite target gives a non-finite loss and gradients.
     """
-    x = np.asarray(batch_obs, dtype=float)
     actions = np.asarray(actions, dtype=int)
     targets = np.asarray(targets, dtype=float)
-    batch = x.shape[0]
 
-    # Forward pass, keeping post-activation values per layer.
-    acts = [x]
-    q = _layers(params, x, acts)
-
+    # Forward pass, keeping the input and post-activation values per layer.
+    acts = []
+    q = _layers(params, batch_obs, acts)
+    batch = q.shape[0]
     rows = np.arange(batch)
+    if _is_index(acts[0]):
+        # The first weight gradient multiplies the one-hot rows themselves,
+        # so it sums in the same order as for a one-hot float input.
+        onehot = np.zeros((batch, params.layer_sizes[0]))
+        onehot[rows, acts[0]] = 1.0
+        acts[0] = onehot
+
     delta = q[rows, actions] - targets
     root = np.sqrt(1.0 + (delta / kappa) ** 2)
     # sum()/batch is bitwise equal to np.mean, with less call overhead.
@@ -186,8 +214,9 @@ def adam_step(params, grads, state, lr):
     ADAM_FLUSH_PERIOD-th step, moment entries below the smallest normal
     double are then set to 0.0 (see the module docstring).
 
-    Returns (params, state) for convenience. Gradients are not checked;
-    Agent.train_step skips the call when the loss is not finite.
+    Updates params.flat and state in place and returns None. Gradients are
+    not checked; Agent.train_step skips the call when the loss is not
+    finite.
     """
     theta, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
     a, b = state.scratch
@@ -217,7 +246,6 @@ def adam_step(params, grads, state, lr):
         for moment in (m, v):
             np.abs(moment, out=a)
             moment[a < _TINY] = 0.0
-    return params, state
 
 
 def clone_params(params):

@@ -2,7 +2,9 @@
 
 Backed by preallocated numpy arrays indexed as a ring buffer, so pushes are
 O(1) at large capacities and batches can be gathered without building
-intermediate Python objects.
+intermediate Python objects. Dense observations take a (capacity, obs_size)
+float64 row each; index observations (`EnvSpec.index_observations`) take one
+int64 entry of a (capacity,) column.
 """
 
 from __future__ import annotations
@@ -11,19 +13,20 @@ import math
 
 import numpy as np
 
-DEFAULT_CAPACITY = 1_000_000
-
 
 class ReplayBuffer:
-    def __init__(self, capacity=DEFAULT_CAPACITY, obs_size=8):
+    def __init__(self, capacity, obs_size, index_observations=False):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.obs_size = int(obs_size)
-        self._states = np.zeros((self.capacity, self.obs_size))
+        self.index_observations = bool(index_observations)
+        shape, dtype = ((self.capacity, np.int64) if self.index_observations
+                        else ((self.capacity, self.obs_size), float))
+        self._states = np.zeros(shape, dtype=dtype)
         self._actions = np.zeros(self.capacity, dtype=np.int64)
         self._rewards = np.zeros(self.capacity)
-        self._next_states = np.zeros((self.capacity, self.obs_size))
+        self._next_states = np.zeros(shape, dtype=dtype)
         self._dones = np.zeros(self.capacity, dtype=bool)
         self._size = 0
         self._next = 0
@@ -33,11 +36,18 @@ class ReplayBuffer:
         return self._size
 
     def push(self, exp):
-        """Insert one `envs.Experience`, evicting the oldest if full."""
-        state = np.asarray(exp.state, dtype=float)
-        next_state = np.asarray(exp.next_state, dtype=float)
-        if not (np.isfinite(state).all() and np.isfinite(next_state).all()
-                and math.isfinite(exp.reward)):
+        """Insert one `envs.Experience`, evicting the oldest if full. Raises
+        ValueError on a non-finite reward or dense observation, an index
+        observation that is not an int in [0, obs_size), or a transition
+        both done and timed out."""
+        state, next_state = exp.state, exp.next_state
+        if self.index_observations:
+            if not (self._valid_index(state) and self._valid_index(next_state)):
+                raise ValueError(f"observations {state!r} and {next_state!r} are "
+                                 f"not both ints in [0, {self.obs_size})")
+        elif not (np.isfinite(state).all() and np.isfinite(next_state).all()):
+            raise ValueError("non-finite experience fields")
+        if not math.isfinite(exp.reward):
             raise ValueError("non-finite experience fields")
         if exp.done and exp.timed_out:
             raise ValueError("done and timed_out are mutually exclusive")
@@ -50,6 +60,10 @@ class ReplayBuffer:
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
         self.insert_count += 1
+
+    def _valid_index(self, value):
+        return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and 0 <= value < self.obs_size)
 
     def sample_arrays(self, batch_size, rng):
         """Uniform sample with replacement, deterministic per rng state, as

@@ -72,6 +72,18 @@ class TestCli:
         assert (out / "rewards.svg").exists()
         assert (out / "manifest.cfg").exists()
 
+    def test_train_labels_the_window_it_averages(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli_main(["train", "--env", "hovertrap", "--episodes", "5",
+                         "--seed", "1", "--out", str(out)])
+        assert code == 0
+        rewards = [r.total_reward for r in read_metrics_csv(out / "metrics.csv")]
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("mean reward")]
+        mean = float(line.rsplit(": ", 1)[1])
+        assert line.startswith("mean reward last 5 episodes: ")
+        assert mean == pytest.approx(np.mean(rewards), abs=1e-3)
+
     def test_no_reanneal_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "run"
         code = cli_main([

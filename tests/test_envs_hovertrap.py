@@ -11,19 +11,19 @@ from reanneal_rl.envs.hovertrap import (
     MAX_EPISODE_STEPS,
     MAX_VELOCITY,
     OBS_SIZE,
-    encode_observation,
     rollout_policy,
+    state_index,
     transition,
     value_iteration,
 )
 
 
 class TestReset:
-    def test_observation_is_one_hot_of_start(self):
+    def test_observation_is_index_of_start(self):
         env = HoverTrapEnv()
         obs = env.reset()
-        assert np.array_equal(obs, encode_observation(MAX_ALTITUDE, 0))
-        assert obs.sum() == 1.0
+        assert type(obs) is int
+        assert obs == state_index(MAX_ALTITUDE, 0) == 80
 
     def test_repeated_resets_identical(self):
         env = HoverTrapEnv()
@@ -35,12 +35,10 @@ class TestReset:
     def test_observation_size(self):
         assert OBS_SIZE == (MAX_ALTITUDE + 1) * (MAX_VELOCITY + 1) == 85
         assert HoverTrapEnv.spec.observation_size == OBS_SIZE
-        assert env_obs_len() == OBS_SIZE
-
-
-def env_obs_len():
-    env = HoverTrapEnv()
-    return env.reset().shape[0]
+        assert HoverTrapEnv.spec.index_observations
+        # Every state has its own index in [0, OBS_SIZE).
+        assert {state_index(alt, vel) for alt in range(MAX_ALTITUDE + 1)
+                for vel in range(MAX_VELOCITY + 1)} == set(range(OBS_SIZE))
 
 
 class TestStep:

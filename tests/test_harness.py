@@ -6,6 +6,7 @@ import pytest
 from reanneal_rl.agent import AgentConfig, load_checkpoint
 from reanneal_rl.config import RunConfig, default_config, load_config, save_config
 from reanneal_rl.envs import EnvSpec, Experience, StepResult, make_env
+from reanneal_rl.envs.hovertrap import OBS_SIZE, HoverTrapEnv
 from reanneal_rl.envs.lander import LanderEnv
 from reanneal_rl.harness import (
     CSV_HEADER,
@@ -325,6 +326,45 @@ class TestTrainer:
                               agents[-1].online.flat)
         assert np.array_equal(trainer.agent.target.flat,
                               agents[-1].target.flat)
+
+
+class OneHotHoverTrap:
+    """HoverTrap whose observations are one-hot float rows on a dense spec,
+    so training takes the dense path of mlp and replay."""
+
+    spec = EnvSpec(observation_size=OBS_SIZE, action_count=2)
+
+    def __init__(self):
+        self.env = HoverTrapEnv()
+
+    def reset(self, rng=None):
+        return np.eye(OBS_SIZE)[self.env.reset(rng)]
+
+    def step(self, action):
+        result = self.env.step(action)
+        return replace(result, observation=np.eye(OBS_SIZE)[result.observation])
+
+
+def test_index_observations_train_as_the_one_hot_rows(tmp_path):
+    """50 HoverTrap episodes at rho=0.9 write the same final nets, Adam
+    moments and metrics (wall time aside) whether the network is given the
+    state index or its one-hot row. Seed 0 first hovers at episode 33, and
+    threshold 3 makes a reanneal fire by episode 50."""
+    config = replace(default_config("hovertrap"), episodes=50, seed=0,
+                     decay_rate=0.9, stuck_threshold=3)
+    outputs = {}
+    for name, env in (("index", HoverTrapEnv()), ("dense", OneHotHoverTrap())):
+        out = tmp_path / name
+        records = run_training(replace(config, output_dir=str(out)), env=env)
+        nets = {p.name: p.read_bytes() for p in out.glob("final.*.net")}
+        metrics = [line.rsplit(",", 1)[0]
+                   for line in (out / "metrics.csv").read_text().splitlines()]
+        outputs[name] = nets, metrics
+    assert sorted(outputs["index"][0]) == [
+        "final.adam_m.net", "final.adam_v.net", "final.online.net",
+        "final.target.net"]
+    assert outputs["index"] == outputs["dense"]
+    assert any(r.reannealed_this_episode for r in records)
 
 
 class TestConfigFile:

@@ -353,6 +353,50 @@ class TestLeanPathsEquivalence:
         assert not np.array_equal(g1.flat, g2.flat)
 
 
+@st.composite
+def net_and_index_batch(draw):
+    """A network of random sizes and finite weights, and a batch of index
+    observations with repeats. `v + 0.0` turns a drawn -0.0 into +0.0: the
+    one-hot dot product sums a -0.0 weight with +0.0 products into +0.0, so
+    only there would the signs of the zeros differ, and training never makes
+    a -0.0 weight (x - x rounds to +0.0)."""
+    sizes = tuple(draw(st.lists(st.integers(1, 8), min_size=2, max_size=4)))
+    finite = st.floats(-100, 100).map(lambda v: v + 0.0)
+    flat = draw(arrays(np.float64, mlp.param_count(sizes), elements=finite))
+    batch = draw(st.integers(1, 12))
+    index = draw(arrays(np.int64, batch, elements=st.integers(0, sizes[0] - 1)))
+    actions = draw(arrays(np.int64, batch,
+                          elements=st.integers(0, sizes[-1] - 1)))
+    targets = draw(arrays(np.float64, batch, elements=finite))
+    kappa = draw(st.floats(0.1, 10))
+    return NetworkParams(sizes, flat=flat), index, actions, targets, kappa
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(net_and_index_batch())
+def test_index_input_is_bitwise_the_one_hot_input(case):
+    """forward, forward_batch and backward on index observations give bit
+    for bit what they give on the matching one-hot float rows, and leave
+    the weights as they were."""
+    p, index, actions, targets, kappa = case
+    weights = bits(p.flat)
+    onehot = np.eye(p.layer_sizes[0])[index]
+    for k, row in zip(index, onehot):
+        dense = bits(forward(p, row))
+        assert bits(forward(p, int(k))) == dense
+        assert bits(forward(p, k)) == dense
+    assert bits(forward_batch(p, index)) == bits(forward_batch(p, onehot))
+    grads_index, loss_index = backward(p, index, actions, targets, kappa)
+    grads_dense, loss_dense = backward(p, onehot, actions, targets, kappa)
+    assert bits(grads_index.flat) == bits(grads_dense.flat)
+    assert bits(loss_index) == bits(loss_dense)
+    assert bits(p.flat) == weights
+
+
 class TestNetworkParams:
     def test_views_share_a_given_flat_buffer(self):
         flat = np.arange(6.0)

@@ -164,25 +164,31 @@ def test_len_reports_current_size():
 
 
 def as_row(exp):
-    """The fields the ring stores."""
-    return (tuple(exp.state), int(exp.action), float(exp.reward),
-            tuple(exp.next_state), bool(exp.done))
+    """The fields the ring stores; an observation as a list of floats, or
+    as an int for index observations."""
+    return (np.asarray(exp.state).tolist(), int(exp.action), float(exp.reward),
+            np.asarray(exp.next_state).tolist(), bool(exp.done))
 
 
 small = st.floats(-1e6, 1e6, allow_nan=False)
+endings = st.sampled_from([(False, False), (True, False), (False, True)])
 experiences = st.builds(
     lambda state, action, reward, next_state, end: Experience(
         np.array(state), action, reward, np.array(next_state), *end),
     st.tuples(small, small), st.integers(0, 3), small, st.tuples(small, small),
-    st.sampled_from([(False, False), (True, False), (False, True)]),
+    endings,
+)
+INDEX_OBS_SIZE = 5
+index_experiences = st.builds(
+    lambda state, action, reward, next_state, end: Experience(
+        state, action, reward, next_state, *end),
+    st.integers(0, INDEX_OBS_SIZE - 1), st.integers(0, 3), small,
+    st.integers(0, INDEX_OBS_SIZE - 1), endings,
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8), st.lists(experiences, max_size=30),
-       st.integers(1, 8), st.integers(0, 2**32))
-def test_ring_buffer_matches_list_model(capacity, pushes, batch, seed):
-    buf = ReplayBuffer(capacity=capacity, obs_size=2)
+def check_against_list_model(buf, pushes, batch, seed):
+    capacity = buf.capacity
     model = []
     for exp in pushes:
         buf.push(exp)
@@ -195,3 +201,51 @@ def test_ring_buffer_matches_list_model(capacity, pushes, batch, seed):
         columns = buf.sample_arrays(batch, np.random.default_rng(seed))
         for fields in zip(*columns):
             assert as_row(Experience(*fields)) in model[-capacity:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.lists(experiences, max_size=30),
+       st.integers(1, 8), st.integers(0, 2**32))
+def test_ring_buffer_matches_list_model(capacity, pushes, batch, seed):
+    check_against_list_model(ReplayBuffer(capacity=capacity, obs_size=2),
+                             pushes, batch, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.lists(index_experiences, max_size=30),
+       st.integers(1, 8), st.integers(0, 2**32))
+def test_ring_buffer_of_indices_matches_list_model(capacity, pushes, batch,
+                                                   seed):
+    buf = ReplayBuffer(capacity, INDEX_OBS_SIZE, index_observations=True)
+    check_against_list_model(buf, pushes, batch, seed)
+    assert buf._states.shape == buf._next_states.shape == (capacity,)
+    assert buf._states.dtype == buf._next_states.dtype == np.int64
+
+
+class TestIndexObservations:
+    @pytest.mark.parametrize("bad", [
+        INDEX_OBS_SIZE, INDEX_OBS_SIZE + 7, -1, 2.0, np.float64(1.0), "2",
+        np.array([2]), True, None,
+    ], ids=repr)
+    @pytest.mark.parametrize("field", ["state", "next_state"])
+    def test_bad_index_rejected_and_nothing_stored(self, field, bad):
+        buf = ReplayBuffer(4, INDEX_OBS_SIZE, index_observations=True)
+        exp = Experience(0, 1, 0.0, 3, False)
+        setattr(exp, field, bad)
+        with pytest.raises(ValueError, match=r"not both ints in \[0, 5\)"):
+            buf.push(exp)
+        assert len(buf) == 0 and buf.insert_count == 0
+
+    def test_numpy_ints_accepted_and_sampled_as_int64(self):
+        buf = ReplayBuffer(4, INDEX_OBS_SIZE, index_observations=True)
+        buf.push(Experience(np.int64(4), 1, 2.0, np.int32(0), False))
+        states, _, _, next_states, _ = buf.sample_arrays(
+            1, np.random.default_rng(0))
+        assert states.tolist() == [4]
+        assert next_states.tolist() == [0]
+        assert states.dtype == np.int64
+
+    def test_non_finite_reward_still_rejected(self):
+        buf = ReplayBuffer(4, INDEX_OBS_SIZE, index_observations=True)
+        with pytest.raises(ValueError, match="non-finite"):
+            buf.push(Experience(0, 1, float("nan"), 3, False))
