@@ -64,13 +64,10 @@ class Agent:
 
     def train_step(self, buffer, rng):
         """Sample a batch, backpropagate, apply one Adam step to the online
-        network. Returns the batch mean loss, or None when the buffer is
-        still below min_replay_before_training (step skipped). A non-finite
-        loss skips the Adam step, so the network, the Adam moments and the
-        step count stay as they were."""
-        gate = max(self.config.min_replay_before_training, self.config.batch_size)
-        if len(buffer) < gate:
-            return None
+        network. Returns the batch mean loss. The buffer must hold at least
+        batch_size transitions; the Trainer prefills it to the training
+        start. A non-finite loss skips the Adam step, so the network, the
+        Adam moments and the step count stay as they were."""
         states, actions, rewards, next_states, dones = buffer.sample_arrays(
             self.config.batch_size, rng
         )

@@ -19,7 +19,7 @@ import numpy as np
 from . import bandit as bandit_mod
 from .agent import load_checkpoint
 from .config import default_config, load_config
-from .envs import make_env
+from .envs import ENVS, make_env
 from .harness import evaluate_greedy, read_metrics_csv, run_training
 from .plotting import emit_reward_plot
 
@@ -28,6 +28,7 @@ _CSV_CHUNK_ROWS = 256   # regret.csv rows formatted per write
 
 
 def build_parser():
+    """Each train flag but --config has the RunConfig field it sets as dest."""
     parser = argparse.ArgumentParser(
         prog="reanneal-rl",
         description="DQN training with exploration reannealing",
@@ -35,40 +36,44 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="run a training experiment")
+    train.set_defaults(handler=_cmd_train)
     train.add_argument("--config", help="config file (flag values override it)")
-    train.add_argument("--env", choices=["lander", "hovertrap"])
+    train.add_argument("--env", choices=list(ENVS))
     train.add_argument("--episodes", type=int)
     train.add_argument("--seed", type=int)
     train.add_argument("--decay-rate", type=float)
-    train.add_argument("--no-reanneal", action="store_true",
+    train.add_argument("--no-reanneal", dest="reanneal_enabled",
+                       action="store_false", default=None,
                        help="disable exploration reannealing")
-    train.add_argument("--out", help="output directory")
+    train.add_argument("--out", dest="output_dir", help="output directory")
 
     bandit = sub.add_parser("bandit", help="bandit regret simulation")
+    bandit.set_defaults(handler=_cmd_bandit)
     bandit.add_argument("--horizon", type=int, default=100_000)
     bandit.add_argument("--seeds", type=int, default=20)
     bandit.add_argument("--out", default="runs/bandit")
 
     plot = sub.add_parser("plot", help="render metrics CSV as SVG")
+    plot.set_defaults(handler=_cmd_plot)
     plot.add_argument("--metrics", required=True)
     plot.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
+    ev.set_defaults(handler=_cmd_eval)
     ev.add_argument("--checkpoint", required=True,
                     help="checkpoint prefix or .meta path")
     ev.add_argument("--episodes", type=int, default=10)
-    ev.add_argument("--greedy", action="store_true",
-                    help="act greedily (default behavior)")
     ev.add_argument("--seed", type=int)
     return parser
 
 
-def _resolve_seed(args_seed):
-    """--seed, else REANNEAL_RL_SEED, else 0; an error names the source."""
+def _resolve_seed(args_seed, default=0):
+    """--seed, else REANNEAL_RL_SEED, else `default` (train passes its
+    config file's seed); an error names the source."""
     if args_seed is not None:
         seed, source = args_seed, "--seed"
     else:
-        raw = os.environ.get(SEED_ENV_VAR, "0")
+        raw = os.environ.get(SEED_ENV_VAR, str(default))
         try:
             seed, source = int(raw), SEED_ENV_VAR
         except ValueError:
@@ -79,23 +84,18 @@ def _resolve_seed(args_seed):
 
 
 def _cmd_train(args):
+    overrides = {key: value for key, value in vars(args).items()
+                 if value is not None
+                 and key not in ("command", "handler", "config")}
     if args.config:
         config = load_config(args.config)
-        if args.env and args.env != config.env:
-            # Switching environment discards the file's env-specific sizing.
-            config = default_config(args.env)
+        if args.env not in (None, config.env):
+            raise ValueError(f"--env {args.env} contradicts env = {config.env} "
+                             f"in {args.config}")
     else:
         config = default_config(args.env or "lander")
-    overrides = {"seed": _resolve_seed(args.seed)}
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    if args.decay_rate is not None:
-        overrides["decay_rate"] = args.decay_rate
-    if args.no_reanneal:
-        overrides["reanneal_enabled"] = False
-    if args.out:
-        overrides["output_dir"] = args.out
-    # replace() reruns the config's validation on the flag values.
+    overrides["seed"] = _resolve_seed(args.seed, config.seed)
+    # replace() rejects an unknown field and reruns the config's validation.
     config = replace(config, **overrides)
 
     # A diverging run stops with TrainingDiverged, the one error line;
@@ -182,16 +182,9 @@ def _cmd_eval(args):
 
 
 def cli_main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "train": _cmd_train,
-        "bandit": _cmd_bandit,
-        "plot": _cmd_plot,
-        "eval": _cmd_eval,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

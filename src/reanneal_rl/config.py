@@ -45,6 +45,9 @@ class AgentConfig:
             )
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if self.min_replay_before_training < 0:
+            raise ValueError("min_replay_before_training must be >= 0, got "
+                             f"{self.min_replay_before_training}")
 
 
 @dataclass
@@ -85,10 +88,12 @@ class RunConfig:
         if not self.output_dir or self.output_dir != self.output_dir.strip():
             raise ValueError(f"output_dir {self.output_dir!r} is empty or has "
                              "leading or trailing whitespace")
-        if self.replay_capacity < self.agent.batch_size:
+        # Training starts once the replay holds max(batch, start) transitions.
+        batch, start = self.agent.batch_size, self.agent.min_replay_before_training
+        if self.replay_capacity < max(batch, start):
             raise ValueError(
                 f"replay_capacity {self.replay_capacity} is smaller than "
-                f"batch_size {self.agent.batch_size}"
+                f"batch_size {batch} or min_replay_before_training {start}"
             )
 
 

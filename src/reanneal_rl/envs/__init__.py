@@ -54,10 +54,10 @@ def episode(env, act, rng=None):
 from .hovertrap import HoverTrapEnv, value_iteration  # noqa: E402
 from .lander import LanderEnv  # noqa: E402
 
+ENVS = {"lander": LanderEnv, "hovertrap": HoverTrapEnv}
+
 
 def make_env(name):
-    if name == "lander":
-        return LanderEnv()
-    if name == "hovertrap":
-        return HoverTrapEnv()
-    raise ValueError(f"unknown environment {name!r}")
+    if name not in ENVS:
+        raise ValueError(f"unknown environment {name!r}")
+    return ENVS[name]()

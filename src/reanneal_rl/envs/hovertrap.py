@@ -74,8 +74,7 @@ class HoverTrapEnv:
     def __init__(self):
         self.altitude = None
         self.velocity = None
-        self.step_index = 0
-        self._terminal = True
+        self._terminal = True  # until reset starts an episode
 
     def reset(self, rng=None):
         self.altitude = MAX_ALTITUDE
@@ -97,6 +96,15 @@ class HoverTrapEnv:
         return StepResult(obs, reward, done, timed_out)
 
 
+def _q_values(values, gamma, altitude, velocity):
+    """Bellman backup: each action's return from a state, under `values`."""
+    qs = []
+    for action in (ACTION_THRUST, ACTION_COAST):
+        a2, v2, r, done = transition(altitude, velocity, action)
+        qs.append(r if done else r + gamma * values[a2, v2])
+    return qs
+
+
 def value_iteration(gamma=0.99, tol=1e-10):
     """Exact optimal values and greedy policy for the infinite-horizon
     HoverTrap MDP (the episode time limit is a simulation artifact and is
@@ -108,30 +116,18 @@ def value_iteration(gamma=0.99, tol=1e-10):
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     shape = (MAX_ALTITUDE + 1, MAX_VELOCITY + 1)
-    values = np.zeros(shape)
-    while True:
-        delta = 0.0
+    states = [(alt, vel) for alt in range(1, MAX_ALTITUDE + 1)
+              for vel in range(MAX_VELOCITY + 1)]
+    values, delta = np.zeros(shape), np.inf
+    while delta >= tol:
         new_values = np.zeros(shape)
-        for alt in range(1, MAX_ALTITUDE + 1):
-            for vel in range(MAX_VELOCITY + 1):
-                best = -np.inf
-                for action in (ACTION_THRUST, ACTION_COAST):
-                    a2, v2, r, done = transition(alt, vel, action)
-                    q = r if done else r + gamma * values[a2, v2]
-                    best = max(best, q)
-                new_values[alt, vel] = best
-                delta = max(delta, abs(best - values[alt, vel]))
+        for alt, vel in states:
+            new_values[alt, vel] = max(_q_values(values, gamma, alt, vel))
+        delta = np.abs(new_values - values).max()
         values = new_values
-        if delta < tol:
-            break
     policy = np.full(shape, -1, dtype=int)
-    for alt in range(1, MAX_ALTITUDE + 1):
-        for vel in range(MAX_VELOCITY + 1):
-            qs = []
-            for action in (ACTION_THRUST, ACTION_COAST):
-                a2, v2, r, done = transition(alt, vel, action)
-                qs.append(r if done else r + gamma * values[a2, v2])
-            policy[alt, vel] = int(np.argmax(qs))
+    for alt, vel in states:
+        policy[alt, vel] = int(np.argmax(_q_values(values, gamma, alt, vel)))
     return values, policy
 
 

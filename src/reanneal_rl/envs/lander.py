@@ -89,31 +89,24 @@ class LanderEnv:
 
     def __init__(self):
         self.state = None
-        self.step_index = 0
-        self._rest_count = 0
-        self._terminal = True
+        self._terminal = True  # until reset or set_state starts an episode
         # Terminal bonus of the last finished episode: +100/pad-band for
         # rest, -100 for crash, None for out-of-bounds or timeout.
         self.last_terminal_bonus = None
 
     def reset(self, rng):
         """Spawn near top-center with small random velocity and tilt."""
-        self.state = LanderState(
+        return self.set_state(LanderState(
             x=rng.uniform(-0.1, 0.1),
             y=rng.uniform(1.1, 1.3),
             vx=rng.uniform(-0.2, 0.2),
             vy=rng.uniform(-0.1, 0.0),
             angle=rng.uniform(-0.1, 0.1),
             angular_velocity=rng.uniform(-0.05, 0.05),
-        )
-        self.step_index = 0
-        self._rest_count = 0
-        self._terminal = False
-        self.last_terminal_bonus = None
-        return observation_from_state(self.state)
+        ))
 
     def set_state(self, state, rest_count=0):
-        """Place the lander in an arbitrary state (testing hook)."""
+        """Start an episode from `state`; returns its observation."""
         self.state = state
         self.step_index = 0
         self._rest_count = rest_count

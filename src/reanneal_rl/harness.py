@@ -123,7 +123,9 @@ class Trainer:
                                         decay_rate=config.decay_rate)
         self.stuck = StuckCounter(threshold=config.stuck_threshold)
         self.episodes_done = 0
-        _prefill(env, self.buffer, config.agent.min_replay_before_training,
+        # Training starts here, so every step of every episode trains.
+        _prefill(env, self.buffer, max(config.agent.min_replay_before_training,
+                                       config.agent.batch_size),
                  self.rng_policy)
 
     def run_episode(self):
@@ -135,24 +137,22 @@ class Trainer:
         t_start = time.perf_counter()
         total_reward = 0.0
         loss_sum = 0.0
-        loss_count = 0
+
+        def record(step, reannealed, mean_loss):
+            return EpisodeRecord(index, step + 1, total_reward, schedule.epsilon,
+                                 self.stuck.count, reannealed, mean_loss,
+                                 (time.perf_counter() - t_start) * 1e3)
+
         act = lambda obs: select_epsilon_greedy(  # noqa: E731
             mlp.forward(agent.online, obs), schedule, self.rng_policy)
         for step, exp in enumerate(episode(self.env, act, self.rng_env)):
             self.buffer.push(exp)
             loss = agent.train_step(self.buffer, self.rng_sample)
-            if loss is not None:
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at episode {index}, step {step}",
-                        EpisodeRecord(
-                            index, step + 1, total_reward, schedule.epsilon,
-                            self.stuck.count, False, float(loss),
-                            (time.perf_counter() - t_start) * 1e3,
-                        ),
-                    )
-                loss_sum += loss
-                loss_count += 1
+            if not math.isfinite(loss):
+                raise TrainingDiverged(
+                    f"non-finite loss at episode {index}, step {step}",
+                    record(step, False, float(loss)))
+            loss_sum += loss
             total_reward += exp.reward
 
         reannealed = (self.stuck.update(exp.timed_out)
@@ -164,11 +164,7 @@ class Trainer:
         if (index + 1) % self.config.agent.target_sync_period_episodes == 0:
             agent.sync_target()
         self.episodes_done += 1
-        return EpisodeRecord(
-            index, step + 1, total_reward, schedule.epsilon, self.stuck.count,
-            reannealed, loss_sum / loss_count if loss_count else 0.0,
-            (time.perf_counter() - t_start) * 1e3,
-        )
+        return record(step, reannealed, loss_sum / (step + 1))
 
 
 def _save_checkpoint(trainer, name):

@@ -112,14 +112,6 @@ class TestComputeTargets:
 
 
 class TestTrainStep:
-    def test_gated_below_min_replay(self):
-        agent = make_agent()
-        buf = fill_buffer(agent, n=4)  # below min_replay_before_training=8
-        before = mlp.clone_params(agent.online)
-        assert agent.train_step(buf, np.random.default_rng(0)) is None
-        for a, b in zip(agent.online.weights, before.weights):
-            assert np.array_equal(a, b)
-
     def test_zero_td_error_leaves_params_unchanged(self):
         agent = make_agent()
         zero_networks(agent)

@@ -120,7 +120,7 @@ class TestCli:
                   "--seed", "2", "--out", str(out)])
         capsys.readouterr()
         code = cli_main(["eval", "--checkpoint", str(out / "final"),
-                         "--episodes", "3", "--greedy"])
+                         "--episodes", "3"])
         assert code == 0
         printed = capsys.readouterr().out
         assert re.search(r"-?\d+\.\d+ \+- \d+\.\d+", printed)
@@ -359,6 +359,62 @@ class TestCli:
         assert "episodes = 6" in manifest
         assert "learning_rate = 0.002" in manifest
         assert len(read_metrics_csv(out / "metrics.csv")) == 6
+
+    def test_manifest_reproduces_its_run(self, tmp_path, capsys):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli_main(["train", "--env", "hovertrap", "--episodes", "5",
+                         "--seed", "7", "--out", str(first)]) == 0
+        assert cli_main(["train", "--config", str(first / "manifest.cfg"),
+                         "--out", str(again)]) == 0
+        assert "seed 7" in capsys.readouterr().out.splitlines()[-3]
+
+        def no_wall(out):
+            return [line.rsplit(",", 1)[0] for line in
+                    (out / "metrics.csv").read_text().splitlines()]
+
+        assert no_wall(again) == no_wall(first)
+
+    @pytest.mark.parametrize("flag, env_value, seed", [
+        ([], None, 5),
+        ([], "9", 9),
+        (["--seed", "7"], "9", 7),
+    ])
+    def test_seed_precedence_flag_env_var_file(self, tmp_path, monkeypatch,
+                                               flag, env_value, seed):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nenv = hovertrap\nepisodes = 1\nseed = 5\n")
+        if env_value is not None:
+            monkeypatch.setenv("REANNEAL_RL_SEED", env_value)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg), *flag,
+                         "--out", str(out)]) == 0
+        assert load_config(out / "manifest.cfg").seed == seed
+
+    def test_env_flag_contradicting_config_file_reports_one_error(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "lander.cfg"
+        cfg.write_text("[run]\nenv = lander\nstuck_threshold = 3\n"
+                       "[agent]\ngamma = 0.9\n")
+        out = tmp_path / "run"
+        code = cli_main(["train", "--config", str(cfg), "--env", "hovertrap",
+                         "--out", str(out)])
+        assert code == 1
+        err = one_error(capsys)
+        assert "--env hovertrap" in err and "env = lander" in err
+        assert "lander.cfg" in err
+        assert not out.exists()
+
+    def test_env_flag_matching_config_file_keeps_the_file(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nenv = hovertrap\nepisodes = 2\n"
+                       "stuck_threshold = 3\n[agent]\ngamma = 0.9\n")
+        out = tmp_path / "run"
+        code = cli_main(["train", "--config", str(cfg), "--env", "hovertrap",
+                         "--out", str(out)])
+        assert code == 0
+        manifest = load_config(out / "manifest.cfg")
+        assert (manifest.env, manifest.stuck_threshold,
+                manifest.agent.gamma) == ("hovertrap", 3, 0.9)
 
 
 def src_on_path():

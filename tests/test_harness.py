@@ -327,6 +327,17 @@ class TestTrainer:
         assert np.array_equal(trainer.agent.target.flat,
                               agents[-1].target.flat)
 
+    @pytest.mark.parametrize("min_replay, batch_size, filled", [
+        (3, 8, 8), (8, 8, 8), (20, 8, 20), (0, 1, 1)])
+    def test_prefills_to_training_start(self, tmp_path, min_replay,
+                                        batch_size, filled):
+        # Training starts with the first episode, so the replay already
+        # holds max(min_replay_before_training, batch_size) transitions.
+        config = replace(tiny_config(tmp_path), agent=AgentConfig(
+            batch_size=batch_size, min_replay_before_training=min_replay))
+        trainer = Trainer(config, ScriptedTimeoutEnv())
+        assert len(trainer.buffer) == trainer.buffer.insert_count == filled
+
 
 class OneHotHoverTrap:
     """HoverTrap whose observations are one-hot float rows on a dense spec,
@@ -424,6 +435,9 @@ class TestConfigFile:
         ("agent", "gamma", "1.5"),
         ("agent", "learning_rate", "-1"),
         ("agent", "kappa", "0"),
+        ("agent", "min_replay_before_training", "-1"),
+        # HoverTrap's replay holds 500, so training could never start.
+        ("agent", "min_replay_before_training", "600"),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
         path = tmp_path / "c.cfg"
@@ -446,6 +460,13 @@ class TestConfigFile:
             RunConfig(decay_rate=1.01)
         with pytest.raises(ValueError):
             RunConfig(replay_capacity=8, agent=AgentConfig(batch_size=16))
+        with pytest.raises(ValueError, match="min_replay_before_training "
+                                             "must be >= 0, got -1"):
+            AgentConfig(min_replay_before_training=-1)
+        with pytest.raises(ValueError, match="replay_capacity 500 .* "
+                                             "min_replay_before_training 600"):
+            RunConfig(replay_capacity=500,
+                      agent=AgentConfig(min_replay_before_training=600))
 
     @pytest.mark.parametrize("output_dir", ["", " ", "runs/a b ", " runs/a",
                                             "runs/a\n", "\truns/a"])

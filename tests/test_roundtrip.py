@@ -3,6 +3,7 @@ saved."""
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -30,6 +31,10 @@ agent_configs = st.builds(
 @st.composite
 def run_configs(draw):
     agent = draw(agent_configs)
+    capacity = draw(st.integers(agent.batch_size, 10**9))
+    # Training must be able to start: min_replay fits in the replay.
+    agent = replace(agent, min_replay_before_training=draw(
+        st.integers(0, capacity)))
     return RunConfig(
         env=draw(st.sampled_from(["lander", "hovertrap"])),
         episodes=draw(st.integers(1, 10**9)),
@@ -40,7 +45,7 @@ def run_configs(draw):
                                   exclude_min=True)),
         epsilon_min=draw(st.floats(min_value=0.0, max_value=1.0)),
         hidden_sizes=tuple(draw(st.lists(st.integers(1, 10**4), max_size=4))),
-        replay_capacity=draw(st.integers(agent.batch_size, 10**9)),
+        replay_capacity=capacity,
         output_dir=draw(st.text("abcXYZ019_-./% ", min_size=1, max_size=30)
                         .filter(lambda path: path == path.strip())),
         checkpoint_every=draw(st.integers(0, 10**6)),
