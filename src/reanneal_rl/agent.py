@@ -13,28 +13,16 @@ from .mlp import clone_params, forward, forward_batch
 
 
 class Agent:
-    """Online network, frozen target copy, Adam state.
+    """Online network from a He-uniform init drawn from `rng`, its target
+    copy and zero Adam moments (load_checkpoint reads saved values into
+    these buffers), plus the per-step workspaces: a gradient buffer that
+    backward fills in place, and the batch row index."""
 
-    `online`, `target` and `optimizer` default to a fresh He-uniform init,
-    its copy and zero Adam moments; load_checkpoint passes the loaded ones
-    instead. The agent also owns the per-step workspaces: a gradient buffer
-    that backward fills in place, and the batch row index.
-    """
-
-    def __init__(self, config, layer_sizes, rng=None, online=None, target=None,
-                 optimizer=None):
+    def __init__(self, config, layer_sizes, rng):
         self.config = config
-        self.online = mlp.init_params(layer_sizes, rng) if online is None else online
-        self.target = clone_params(self.online) if target is None else target
-        self.optimizer = (mlp.init_adam_state(self.online) if optimizer is None
-                          else optimizer)
-        for name, net in (("target", self.target), ("Adam m", self.optimizer.m),
-                          ("Adam v", self.optimizer.v)):
-            if net.layer_sizes != self.online.layer_sizes:
-                raise ValueError(
-                    f"{name} layer sizes {net.layer_sizes} != online "
-                    f"layer sizes {self.online.layer_sizes}"
-                )
+        self.online = mlp.init_params(layer_sizes, rng)
+        self.target = clone_params(self.online)
+        self.optimizer = mlp.init_adam_state(self.online)
         self._grads = mlp.NetworkParams(self.online.layer_sizes)
         self._rows = np.arange(config.batch_size)
 
@@ -86,23 +74,43 @@ class Agent:
         self.target = clone_params(self.online)
 
 
+def _arrays(agent):
+    """The checkpointed parameter buffers by file name part."""
+    return {"online": agent.online.flat, "target": agent.target.flat,
+            "adam_m": agent.optimizer.m.flat, "adam_v": agent.optimizer.v.flat}
+
+
 def save_checkpoint(agent, prefix, episode=0, extra=None):
     """Write <prefix>.online.net, <prefix>.target.net and the Adam moments
-    <prefix>.adam_m.net and <prefix>.adam_v.net (binary network format),
-    plus <prefix>.meta, a key=value text header with the agent config, the
-    episode and the Adam step count."""
-    mlp.save_network(agent.online, prefix + ".online.net")
-    mlp.save_network(agent.target, prefix + ".target.net")
-    mlp.save_network(agent.optimizer.m, prefix + ".adam_m.net")
-    mlp.save_network(agent.optimizer.v, prefix + ".adam_v.net")
+    <prefix>.adam_m.net and <prefix>.adam_v.net, each one float64 vector in
+    numpy's .npy format, and <prefix>.meta, key=value text with the agent
+    config, the episode, the Adam step count and the layer sizes."""
+    for name, flat in _arrays(agent).items():
+        with open(f"{prefix}.{name}.net", "wb") as fh:  # np.save(path) adds .npy
+            np.save(fh, flat, allow_pickle=False)
     meta = {key: int(value) if isinstance(value, bool) else value
             for key, value in asdict(agent.config).items()}
-    meta.update(episode=episode, adam_step_count=agent.optimizer.step_count)
-    if extra:
-        meta.update(extra)
+    meta.update(episode=episode, adam_step_count=agent.optimizer.step_count,
+                layer_sizes=",".join(map(str, agent.online.layer_sizes)))
+    meta.update(extra or {})
     with open(prefix + ".meta", "w") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}={value}\n")
+        fh.write("".join(f"{key}={value}\n" for key, value in meta.items()))
+
+
+def _read_array(path, out):
+    """Read a save_checkpoint() array into `out`. One ValueError names the
+    file unless it is exactly a '<f8' array of out's shape."""
+    with open(path, "rb") as fh:
+        try:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+            if array.dtype.str != "<f8" or array.shape != out.shape:
+                raise ValueError(f"found '{array.dtype.str}' of shape "
+                                 f"{array.shape}, expected '<f8' of shape {out.shape}")
+            if fh.read(1):
+                raise ValueError("bytes after the array")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    out[:] = array
 
 
 def load_checkpoint(prefix):
@@ -115,21 +123,23 @@ def load_checkpoint(prefix):
         pairs = (line.strip().partition("=") for line in fh if line.strip())
         meta = {key: value for key, _, value in pairs}
     names = [f.name for f in fields(AgentConfig)]
-    missing = [name for name in names + ["adam_step_count"] if name not in meta]
+    missing = [name for name in names + ["adam_step_count", "layer_sizes"]
+               if name not in meta]
     if missing:
         raise ValueError(f"checkpoint metadata {path} lacks {', '.join(missing)}")
     config = AgentConfig(**parse_fields(
         AgentConfig, {name: meta[name] for name in names}, path))
+    try:  # the init draw is overwritten by the saved arrays
+        sizes = tuple(int(n) for n in meta["layer_sizes"].split(","))
+        agent = Agent(config, sizes, np.random.default_rng(0))
+    except ValueError:
+        raise ValueError(f"{path}: layer_sizes = {meta['layer_sizes']!r} is "
+                         "not two or more positive ints") from None
     try:
-        step_count = int(meta["adam_step_count"])
+        agent.optimizer.step_count = int(meta["adam_step_count"])
     except ValueError:
         raise ValueError(f"{path}: adam_step_count = "
                          f"{meta['adam_step_count']!r} is not a valid int") from None
-    online = mlp.load_network(prefix + ".online.net")
-    optimizer = mlp.AdamState(m=mlp.load_network(prefix + ".adam_m.net"),
-                              v=mlp.load_network(prefix + ".adam_v.net"),
-                              step_count=step_count)
-    agent = Agent(config, online.layer_sizes, online=online,
-                  target=mlp.load_network(prefix + ".target.net"),
-                  optimizer=optimizer)
+    for name, flat in _arrays(agent).items():
+        _read_array(f"{prefix}.{name}.net", flat)
     return agent, meta

@@ -164,8 +164,9 @@ def _cmd_eval(args):
         raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     agent, meta = load_checkpoint(args.checkpoint)
     env_name = meta.get("env")
-    if env_name is None:
-        raise RuntimeError("checkpoint metadata is missing the environment name")
+    if env_name not in ENVS:
+        raise ValueError(f"{args.checkpoint.removesuffix('.meta')}.meta: env "
+                         f"must be one of {', '.join(ENVS)}, got {env_name!r}")
     env = make_env(env_name)
     sizes = agent.online.layer_sizes
     expected = (env.spec.observation_size, env.spec.action_count)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field, fields, replace
 
+from .envs import ENVS
+
 ENV_DEFAULTS = {
     # episodes, hidden sizes, replay capacity, learning rate, min replay
     "lander": (10_000, (200, 60), 1_000_000, 0.01, 1000),
@@ -67,6 +69,8 @@ class RunConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def __post_init__(self):
+        if self.env not in ENVS:
+            raise ValueError(f"env must be one of {', '.join(ENVS)}, got {self.env!r}")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if self.seed < 0:
@@ -84,6 +88,8 @@ class RunConfig:
             )
         if self.stuck_threshold < 1:
             raise ValueError("stuck_threshold must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
         # Config files strip values, so such a path could not round-trip.
         if not self.output_dir or self.output_dir != self.output_dir.strip():
             raise ValueError(f"output_dir {self.output_dir!r} is empty or has "
@@ -100,14 +106,11 @@ class RunConfig:
 def default_config(env):
     """Per-environment defaults: the lander follows the headline setup, the
     HoverTrap surrogate is scaled down for fast experiments."""
-    if env not in ENV_DEFAULTS:
-        raise ValueError(f"unknown environment {env!r}")
+    config = RunConfig(env=env)  # refuses an unknown env
     episodes, hidden, capacity, lr, min_replay = ENV_DEFAULTS[env]
     agent = AgentConfig(learning_rate=lr, min_replay_before_training=min_replay)
-    return RunConfig(
-        env=env, episodes=episodes, hidden_sizes=hidden,
-        replay_capacity=capacity, agent=agent,
-    )
+    return replace(config, episodes=episodes, hidden_sizes=hidden,
+                   replay_capacity=capacity, agent=agent)
 
 
 def _parse_sizes(raw):
@@ -162,7 +165,10 @@ def load_config(path):
                          "expected [run] and [agent]")
     sections = {name: dict(parser.items(name)) if parser.has_section(name)
                 else {} for name in ("run", "agent")}
-    config = default_config(sections["run"].pop("env", "lander"))
+    try:
+        config = default_config(sections["run"].pop("env", "lander"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     run = parse_fields(RunConfig, sections["run"], path)
     agent = parse_fields(AgentConfig, sections["agent"], path)
     return replace(config, agent=replace(config.agent, **agent), **run)

@@ -105,11 +105,11 @@ class LanderEnv:
             angular_velocity=rng.uniform(-0.05, 0.05),
         ))
 
-    def set_state(self, state, rest_count=0):
+    def set_state(self, state):
         """Start an episode from `state`; returns its observation."""
         self.state = state
         self.step_index = 0
-        self._rest_count = rest_count
+        self._rest_count = 0
         self._terminal = False
         self.last_terminal_bonus = None
         return observation_from_state(self.state)

@@ -15,12 +15,9 @@ count, which checkpoints keep, so a loaded agent flushes at the same steps.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-
-CHECKPOINT_MAGIC = b"RQNET1"
 
 
 # Adam hyperparameters (Kingma & Ba 2015 defaults).
@@ -61,10 +58,6 @@ class NetworkParams:
             offset += fan_out * fan_in
             self.biases.append(self.flat[offset:offset + fan_out])
             offset += fan_out
-
-    @property
-    def n_layers(self):
-        return len(self.layer_sizes) - 1
 
 
 @dataclass
@@ -195,7 +188,7 @@ def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
         grads = NetworkParams(params.layer_sizes)
     d = np.zeros(q.shape)
     d[rows, actions] = dloss
-    for l in range(params.n_layers - 1, -1, -1):
+    for l in range(len(params.weights) - 1, -1, -1):
         np.matmul(d.T, acts[l], out=grads.weights[l])
         d.sum(axis=0, out=grads.biases[l])
         if l > 0:
@@ -251,42 +244,3 @@ def adam_step(params, grads, state, lr):
 def clone_params(params):
     """Deep, independent copy."""
     return NetworkParams(params.layer_sizes, flat=params.flat.copy())
-
-
-def save_network(params, path):
-    """Binary checkpoint: magic "RQNET1", u32 LE layer count, u32 LE layer
-    sizes, then per layer the weight matrix (row-major) and bias vector as
-    little-endian float64, which is the order of the flat buffer."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        sizes = params.layer_sizes
-        fh.write(struct.pack(f"<{len(sizes) + 1}I", len(sizes), *sizes))
-        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
-
-
-def load_network(path):
-    """Read a save_network() checkpoint. Raises ValueError unless the file
-    is exactly one network: right magic, a complete header, every weight
-    and nothing after the last bias."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = len(CHECKPOINT_MAGIC) + 4
-    if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a network checkpoint")
-    if len(blob) < header:
-        raise ValueError(f"{path}: truncated header")
-    (count,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
-    if len(blob) < header + 4 * count:
-        raise ValueError(f"{path}: truncated header")
-    layer_sizes = struct.unpack_from(f"<{count}I", blob, header)
-    if count < 2 or min(layer_sizes) < 1:
-        raise ValueError(f"{path}: bad layer sizes {layer_sizes}")
-    body = len(blob) - header - 4 * count
-    expected = 8 * param_count(layer_sizes)
-    if body != expected:
-        kind = "truncated body" if body < expected else "trailing bytes"
-        raise ValueError(
-            f"{path}: {kind} ({body} bytes of parameters, expected {expected})"
-        )
-    flat = np.frombuffer(blob, dtype="<f8", offset=header + 4 * count).astype(float)
-    return NetworkParams(layer_sizes, flat=flat)

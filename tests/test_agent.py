@@ -276,11 +276,31 @@ class TestCheckpoint:
             load_checkpoint(prefix)
 
     def test_adam_moments_of_other_sizes_rejected(self, tmp_path):
+        # The layer sizes live in .meta alone; an array of another length
+        # is refused by the file that holds it.
         prefix = str(tmp_path / "ckpt")
         save_checkpoint(make_agent(seed=34), prefix)
-        mlp.save_network(mlp.NetworkParams((4, 8, 3)), prefix + ".adam_m.net")
-        with pytest.raises(ValueError, match="Adam m layer sizes"):
+        with open(prefix + ".adam_m.net", "wb") as fh:
+            np.save(fh, np.zeros(mlp.param_count((4, 8, 3))))
+        with pytest.raises(ValueError, match=r"ckpt\.adam_m\.net: .*shape"):
             load_checkpoint(prefix)
+
+    def test_arrays_are_npy_vectors(self, tmp_path):
+        """Each .net file is one '<f8' .npy vector, the agent's flat buffer
+        byte for byte, and .meta records the layer sizes."""
+        agent = make_agent(seed=37)
+        agent.train_step(fill_buffer(agent), np.random.default_rng(6))
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(agent, prefix)
+        for name, flat in (("online", agent.online.flat),
+                           ("target", agent.target.flat),
+                           ("adam_m", agent.optimizer.m.flat),
+                           ("adam_v", agent.optimizer.v.flat)):
+            array = np.load(f"{prefix}.{name}.net", allow_pickle=False)
+            assert array.dtype.str == "<f8"
+            assert array.shape == (mlp.param_count(SIZES),)
+            assert array.tobytes() == flat.tobytes()
+        assert "layer_sizes=4,8,8,3\n" in (tmp_path / "ckpt.meta").read_text()
 
     @pytest.mark.parametrize("key, text", [
         ("gamma", "abc"), ("batch_size", "4.5"), ("double_dqn", "maybe"),
@@ -308,7 +328,7 @@ class TestCheckpoint:
             "gamma=0.99\nlearning_rate=0.01\nbatch_size=4\n"
             "target_sync_period_episodes=20\ndouble_dqn=0\nkappa=1.0\n"
             "min_replay_before_training=8\nepisode=7\nadam_step_count=3\n"
-            "env=hovertrap\n"
+            "layer_sizes=4,8,8,3\nenv=hovertrap\n"
         )
 
     def test_load_accepts_meta_path(self, tmp_path):

@@ -1,5 +1,8 @@
+import io
 import os
 import re
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -130,13 +133,13 @@ class TestCli:
         cli_main(["train", "--env", "hovertrap", "--episodes", "2",
                   "--seed", "2", "--out", str(out)])
         net = out / "final.online.net"
-        net.write_bytes(net.read_bytes()[:12])  # cut inside the header
+        net.write_bytes(net.read_bytes()[:12])  # cut inside the .npy header
         capsys.readouterr()
         code = cli_main(["eval", "--checkpoint", str(out / "final")])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert "truncated header" in err[0]
+        assert "final.online.net" in err[0]
 
     def test_eval_meta_missing_a_key_reports_one_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -415,6 +418,72 @@ class TestCli:
         manifest = load_config(out / "manifest.cfg")
         assert (manifest.env, manifest.stuck_threshold,
                 manifest.agent.gamma) == ("hovertrap", 3, 0.9)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A 2-episode HoverTrap run whose final checkpoint the tests corrupt."""
+    out = tmp_path_factory.mktemp("trained") / "run"
+    assert cli_main(["train", "--env", "hovertrap", "--episodes", "2",
+                     "--seed", "2", "--out", str(out)]) == 0
+    return out
+
+
+def npy(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def set_meta(key, line):
+    """A change of .meta text that replaces the `key=` line by `line`."""
+    return lambda blob: re.sub(rb"(?m)^" + key + rb"=.*\n", line, blob)
+
+
+N = 85 * 32 + 32 + 32 * 2 + 2  # parameters of HoverTrap's 85-32-2 network
+
+# id -> (checkpoint file, change of its bytes). The .npy header of a
+# 1-D array is 128 bytes: 6 magic, 2 version, 2 header length, 118 header.
+MALFORMED = {
+    "cut-0": ("final.online.net", lambda blob: blob[:0]),
+    "cut-6": ("final.online.net", lambda blob: blob[:6]),
+    "cut-9": ("final.online.net", lambda blob: blob[:9]),
+    "cut-60": ("final.online.net", lambda blob: blob[:60]),
+    "cut-body": ("final.online.net", lambda blob: blob[:-4]),
+    "trailing-byte": ("final.online.net", lambda blob: blob + b"\0"),
+    # The format written before checkpoints were .npy files.
+    "rqnet1": ("final.online.net", lambda blob: (
+        b"RQNET1" + struct.pack("<4I", 3, 85, 32, 2) + blob[-8 * N:])),
+    "float32": ("final.online.net",
+                lambda blob: npy(np.zeros(N, dtype=np.float32))),
+    "2d": ("final.online.net", lambda blob: npy(np.zeros((2, N // 2)))),
+    "wrong-length": ("final.online.net", lambda blob: npy(np.zeros(N - 1))),
+    "adam-m-wrong-length": ("final.adam_m.net",
+                            lambda blob: npy(np.zeros(N + 1))),
+    "layer-sizes-missing": ("final.meta", set_meta(b"layer_sizes", b"")),
+    "layer-sizes-4-x": ("final.meta",
+                        set_meta(b"layer_sizes", b"layer_sizes=4,x\n")),
+    "layer-sizes-4": ("final.meta",
+                      set_meta(b"layer_sizes", b"layer_sizes=4\n")),
+    "layer-sizes-4-0-3": ("final.meta",
+                          set_meta(b"layer_sizes", b"layer_sizes=4,0,3\n")),
+    "env-missing": ("final.meta", set_meta(b"env", b"")),
+    "env-unknown": ("final.meta", set_meta(b"env", b"env=cartpole\n")),
+}
+
+
+@pytest.mark.parametrize("name, change", MALFORMED.values(), ids=MALFORMED)
+def test_eval_malformed_checkpoint_reports_one_error(trained_run, tmp_path,
+                                                     capsys, name, change):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path = out / name
+    before = path.read_bytes()
+    path.write_bytes(change(before))
+    assert path.read_bytes() != before
+    code = cli_main(["eval", "--checkpoint", str(out / "final")])
+    assert code == 1
+    assert str(path) in one_error(capsys)
 
 
 def src_on_path():

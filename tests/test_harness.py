@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from reanneal_rl.agent import AgentConfig, load_checkpoint
-from reanneal_rl.config import RunConfig, default_config, load_config, save_config
-from reanneal_rl.envs import EnvSpec, Experience, StepResult, make_env
+from reanneal_rl.config import (ENV_DEFAULTS, RunConfig, default_config, load_config,
+                                save_config)
+from reanneal_rl.envs import ENVS, EnvSpec, Experience, StepResult, make_env
 from reanneal_rl.envs.hovertrap import OBS_SIZE, HoverTrapEnv
 from reanneal_rl.envs.lander import LanderEnv
 from reanneal_rl.harness import (
@@ -435,6 +436,7 @@ class TestConfigFile:
         ("agent", "gamma", "1.5"),
         ("agent", "learning_rate", "-1"),
         ("agent", "kappa", "0"),
+        ("run", "checkpoint_every", "-5"),
         ("agent", "min_replay_before_training", "-1"),
         # HoverTrap's replay holds 500, so training could never start.
         ("agent", "min_replay_before_training", "600"),
@@ -473,6 +475,20 @@ class TestConfigFile:
     def test_output_dir_empty_or_padded_rejected(self, output_dir):
         with pytest.raises(ValueError, match="output_dir"):
             RunConfig(output_dir=output_dir)
+
+    def test_unknown_env_rejected(self):
+        with pytest.raises(ValueError, match="env must be one of lander, "
+                                             "hovertrap, got 'cartpole'"):
+            RunConfig(env="cartpole")
+
+    def test_unknown_env_in_file_named(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("[run]\nenv = cartpole\n")
+        with pytest.raises(ValueError, match=r"c\.cfg: env .* 'cartpole'"):
+            load_config(path)
+
+    def test_env_tables_agree(self):
+        assert ENV_DEFAULTS.keys() == ENVS.keys()
 
     def test_defaults_per_env(self):
         assert default_config("lander").episodes == 10_000

@@ -26,7 +26,7 @@ def small_net(rng, sizes=(5, 7, 6, 3)):
 def naive_forward(params, x):
     """Straight-line nested-loop oracle for the forward pass."""
     h = list(x)
-    n = params.n_layers
+    n = len(params.weights)
     for l in range(n):
         out = []
         for i in range(params.layer_sizes[l + 1]):
@@ -421,9 +421,8 @@ def sizes_and_flat(draw):
 @settings(max_examples=100, deadline=None)
 @given(sizes_and_flat())
 def test_flat_layout_is_w0_b0_w1_b1(case):
-    """The layout save_network, load_network and adam_step rely on: the
-    views, raveled in the order w0, b0, w1, b1, ..., are the flat buffer
-    itself."""
+    """The layout that checkpoints and adam_step rely on: the views,
+    raveled in the order w0, b0, w1, b1, ..., are the flat buffer itself."""
     sizes, flat = case
     p = NetworkParams(sizes, flat=flat)
     assert flat.size == mlp.param_count(sizes)
@@ -455,61 +454,6 @@ class TestCloneParams:
         p = small_net(rng)
         x = rng.normal(size=5)
         assert np.array_equal(forward(clone_params(p), x), forward(p, x))
-
-
-class TestCheckpointFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(40)
-        p = small_net(rng)
-        path = tmp_path / "net.bin"
-        mlp.save_network(p, path)
-        loaded = mlp.load_network(path)
-        assert loaded.layer_sizes == p.layer_sizes
-        for a, b in zip(p.weights + p.biases, loaded.weights + loaded.biases):
-            assert np.array_equal(a, b)
-
-    def test_magic_and_layout(self, tmp_path):
-        p = NetworkParams((2, 1), flat=np.array([1.5, -2.5, 3.0]))
-        path = tmp_path / "net.bin"
-        mlp.save_network(p, path)
-        blob = path.read_bytes()
-        assert blob[:6] == b"RQNET1"
-        assert int.from_bytes(blob[6:10], "little") == 2
-        assert int.from_bytes(blob[10:14], "little") == 2
-        assert int.from_bytes(blob[14:18], "little") == 1
-        values = np.frombuffer(blob[18:], dtype="<f8")
-        np.testing.assert_array_equal(values, [1.5, -2.5, 3.0])
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTNET" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            mlp.load_network(path)
-
-    def saved_blob(self, tmp_path):
-        path = tmp_path / "net.bin"
-        mlp.save_network(small_net(np.random.default_rng(41)), path)
-        return path, path.read_bytes()
-
-    @pytest.mark.parametrize("keep", [7, 9, 14, 20])
-    def test_short_header_rejected(self, tmp_path, keep):
-        # magic + count is 10 bytes, the four layer sizes end at byte 26
-        path, blob = self.saved_blob(tmp_path)
-        path.write_bytes(blob[:keep])
-        with pytest.raises(ValueError, match="truncated header"):
-            mlp.load_network(path)
-
-    def test_short_body_rejected(self, tmp_path):
-        path, blob = self.saved_blob(tmp_path)
-        path.write_bytes(blob[:-8])
-        with pytest.raises(ValueError, match="truncated body"):
-            mlp.load_network(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path, blob = self.saved_blob(tmp_path)
-        path.write_bytes(blob + b"\x00")
-        with pytest.raises(ValueError, match="trailing bytes"):
-            mlp.load_network(path)
 
 
 class TestInit:

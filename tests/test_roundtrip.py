@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reanneal_rl import mlp
 from reanneal_rl.agent import Agent, load_checkpoint, save_checkpoint
 from reanneal_rl.config import AgentConfig, RunConfig, load_config, save_config
 
@@ -54,19 +53,22 @@ def run_configs(draw):
     )
 
 
+def buffers(agent):
+    return [agent.online.flat, agent.target.flat, agent.optimizer.m.flat,
+            agent.optimizer.v.flat]
+
+
 @st.composite
 def agents(draw):
+    """An agent built as training builds one, its four parameter buffers then
+    filled with drawn values (-0.0 and subnormals included)."""
     sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
-    count = mlp.param_count(sizes)
-
-    def network():
-        return mlp.NetworkParams(sizes, flat=draw(arrays(np.float64, count,
-                                                         elements=finite)))
-
-    optimizer = mlp.AdamState(m=network(), v=network(),
-                              step_count=draw(st.integers(0, 10**12)))
-    return Agent(draw(agent_configs), sizes, online=network(),
-                 target=network(), optimizer=optimizer)
+    agent = Agent(draw(agent_configs), sizes,
+                  np.random.default_rng(draw(st.integers(0, 2**32))))
+    for flat in buffers(agent):
+        flat[:] = draw(arrays(np.float64, flat.size, elements=finite))
+    agent.optimizer.step_count = draw(st.integers(0, 10**12))
+    return agent
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,13 +81,12 @@ def test_checkpoint_round_trip(agent, episode):
     assert loaded.config == agent.config
     assert loaded.optimizer.step_count == agent.optimizer.step_count
     assert (int(meta["episode"]), meta["env"]) == (episode, "hovertrap")
-    for name in ("online", "target"):
-        assert getattr(loaded, name).layer_sizes == agent.online.layer_sizes
-        assert np.array_equal(getattr(loaded, name).flat,
-                              getattr(agent, name).flat)
-    for name in ("m", "v"):
-        assert np.array_equal(getattr(loaded.optimizer, name).flat,
-                              getattr(agent.optimizer, name).flat)
+    for net in (loaded.online, loaded.target, loaded.optimizer.m,
+                loaded.optimizer.v):
+        assert net.layer_sizes == agent.online.layer_sizes
+    # Bytes, not values: a flipped -0.0 or a flushed subnormal must fail.
+    assert ([flat.tobytes() for flat in buffers(loaded)]
+            == [flat.tobytes() for flat in buffers(agent)])
 
 
 @settings(max_examples=100, deadline=None)
