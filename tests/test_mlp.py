@@ -470,3 +470,23 @@ class TestInit:
         p = init_params((8, 200, 60, 4), np.random.default_rng(0))
         assert [w.shape for w in p.weights] == [(200, 8), (60, 200), (4, 60)]
         assert [b.shape for b in p.biases] == [(200,), (60,), (4,)]
+
+
+class TestCheckpointFormat:
+    def test_round_trip(self, tmp_path):
+        # A network's layer sizes and every weight and bias survive a
+        # checkpoint: save_checkpoint writes the flat buffer, load_checkpoint
+        # rebuilds the views over it from the sizes in .meta.
+        from reanneal_rl.agent import (Agent, AgentConfig, load_checkpoint,
+                                       save_checkpoint)
+
+        rng = np.random.default_rng(40)
+        p = small_net(rng)
+        agent = Agent(AgentConfig(), p.layer_sizes, rng)
+        agent.online.flat[:] = p.flat
+        prefix = str(tmp_path / "net")
+        save_checkpoint(agent, prefix)
+        loaded = load_checkpoint(prefix)[0].online
+        assert loaded.layer_sizes == p.layer_sizes
+        for a, b in zip(p.weights + p.biases, loaded.weights + loaded.biases):
+            assert np.array_equal(a, b)
