@@ -9,6 +9,7 @@ import numpy as np
 
 from . import mlp
 from .config import AgentConfig, parse_fields
+from .envs import ENVS
 from .mlp import clone_params, forward, forward_batch
 
 
@@ -80,19 +81,18 @@ def _arrays(agent):
             "adam_m": agent.optimizer.m.flat, "adam_v": agent.optimizer.v.flat}
 
 
-def save_checkpoint(agent, prefix, episode=0, extra=None):
+def save_checkpoint(agent, prefix, episode, env):
     """Write <prefix>.online.net, <prefix>.target.net and the Adam moments
     <prefix>.adam_m.net and <prefix>.adam_v.net, each one float64 vector in
     numpy's .npy format, and <prefix>.meta, key=value text with the agent
-    config, the episode, the Adam step count and the layer sizes."""
+    config, the episode, the Adam step count, the layer sizes and the env."""
     for name, flat in _arrays(agent).items():
         with open(f"{prefix}.{name}.net", "wb") as fh:  # np.save(path) adds .npy
             np.save(fh, flat, allow_pickle=False)
     meta = {key: int(value) if isinstance(value, bool) else value
             for key, value in asdict(agent.config).items()}
     meta.update(episode=episode, adam_step_count=agent.optimizer.step_count,
-                layer_sizes=",".join(map(str, agent.online.layer_sizes)))
-    meta.update(extra or {})
+                layer_sizes=",".join(map(str, agent.online.layer_sizes)), env=env)
     with open(prefix + ".meta", "w") as fh:
         fh.write("".join(f"{key}={value}\n" for key, value in meta.items()))
 
@@ -120,15 +120,22 @@ def load_checkpoint(prefix):
     prefix = prefix.removesuffix(".meta")
     path = prefix + ".meta"
     with open(path) as fh:
-        pairs = (line.strip().partition("=") for line in fh if line.strip())
-        meta = {key: value for key, _, value in pairs}
+        lines = [line.strip() for line in fh if line.strip()]
+    meta = {}
+    for key, sep, value in (line.partition("=") for line in lines):
+        if not sep or key in meta:
+            raise ValueError(f"{path}: {key!r} {'is repeated' if sep else 'has no ='}")
+        meta[key] = value
     names = [f.name for f in fields(AgentConfig)]
-    missing = [name for name in names + ["adam_step_count", "layer_sizes"]
-               if name not in meta]
+    own_keys = ["episode", "adam_step_count", "layer_sizes", "env"]
+    missing = [name for name in names + own_keys if name not in meta]
     if missing:
         raise ValueError(f"checkpoint metadata {path} lacks {', '.join(missing)}")
+    if meta["env"] not in ENVS:
+        raise ValueError(f"{path}: env must be one of {', '.join(ENVS)}, "
+                         f"got {meta['env']!r}")
     config = AgentConfig(**parse_fields(
-        AgentConfig, {name: meta[name] for name in names}, path))
+        AgentConfig, {k: v for k, v in meta.items() if k not in own_keys}, path))
     try:  # the init draw is overwritten by the saved arrays
         sizes = tuple(int(n) for n in meta["layer_sizes"].split(","))
         agent = Agent(config, sizes, np.random.default_rng(0))

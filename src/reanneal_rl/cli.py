@@ -163,21 +163,17 @@ def _cmd_eval(args):
     if args.episodes < 1:
         raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     agent, meta = load_checkpoint(args.checkpoint)
-    env_name = meta.get("env")
-    if env_name not in ENVS:
-        raise ValueError(f"{args.checkpoint.removesuffix('.meta')}.meta: env "
-                         f"must be one of {', '.join(ENVS)}, got {env_name!r}")
-    env = make_env(env_name)
+    env = make_env(meta["env"])
     sizes = agent.online.layer_sizes
     expected = (env.spec.observation_size, env.spec.action_count)
     if (sizes[0], sizes[-1]) != expected:
         raise ValueError(
             f"checkpoint {args.checkpoint} has {sizes[0]} inputs and "
-            f"{sizes[-1]} outputs, but {env_name} has {expected[0]} "
+            f"{sizes[-1]} outputs, but {meta['env']} has {expected[0]} "
             f"observations and {expected[1]} actions")
     rng = np.random.default_rng(_resolve_seed(args.seed))
     returns = evaluate_greedy(agent, env, args.episodes, rng)
-    print(f"{env_name}: greedy return over {args.episodes} episodes: "
+    print(f"{meta['env']}: greedy return over {args.episodes} episodes: "
           f"{np.mean(returns):.3f} +- {np.std(returns):.3f}")
     return 0
 

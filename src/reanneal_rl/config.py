@@ -154,9 +154,13 @@ def parse_fields(cls, values, source):
 def load_config(path):
     """Read a config file over the defaults of its environment. Values are
     applied with dataclasses.replace, so every field is validated."""
-    parser = configparser.ConfigParser(interpolation=None)
-    with open(path) as fh:
-        parser.read_file(fh)
+    # No default section, so [DEFAULT] is an unknown section, not shared keys.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:  # its messages span several lines
+        raise ValueError(f"{path}: {str(exc).splitlines()[0]}") from None
     unknown = [name for name in parser.sections()
                if name not in ("run", "agent")]
     if unknown:

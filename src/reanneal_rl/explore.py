@@ -23,12 +23,10 @@ class EpsilonSchedule:
     def decay(self):
         """Apply one multiplicative decay (called once per episode)."""
         self.epsilon = max(self.epsilon_min, self.epsilon * self.decay_rate)
-        return self
 
     def reanneal(self):
         """Reset epsilon to 1 for full exploration."""
         self.epsilon = 1.0
-        return self
 
 
 @dataclass
@@ -45,11 +43,9 @@ class SoftmaxSchedule:
         self.temperature = max(
             self.temperature_min, self.temperature * self.decay_rate
         )
-        return self
 
     def reanneal(self):
         self.temperature = self.temperature_initial
-        return self
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -61,12 +61,8 @@ def moving_average(values, window):
 
 
 def _format_row(r):
-    return (
-        f"{r.episode_index},{r.step_count},{r.total_reward:.6g},"
-        f"{r.epsilon_at_end:.6g},{r.stuck_count},"
-        f"{int(r.reannealed_this_episode)},{r.mean_loss:.6g},"
-        f"{r.wall_time_ms:.6g}"
-    )
+    return ",".join(f"{v:.6g}" if f.type == "float" else str(int(v))
+                    for f, v in zip(fields(r), astuple(r)))
 
 
 def read_metrics_csv(path):
@@ -147,13 +143,13 @@ class Trainer:
             mlp.forward(agent.online, obs), schedule, self.rng_policy)
         for step, exp in enumerate(episode(self.env, act, self.rng_env)):
             self.buffer.push(exp)
+            total_reward += exp.reward
             loss = agent.train_step(self.buffer, self.rng_sample)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at episode {index}, step {step}",
                     record(step, False, float(loss)))
             loss_sum += loss
-            total_reward += exp.reward
 
         reannealed = (self.stuck.update(exp.timed_out)
                       and self.config.reanneal_enabled)
@@ -170,7 +166,7 @@ class Trainer:
 def _save_checkpoint(trainer, name):
     agent_mod.save_checkpoint(
         trainer.agent, os.path.join(trainer.config.output_dir, name),
-        trainer.episodes_done, extra={"env": trainer.config.env},
+        trainer.episodes_done, trainer.config.env,
     )
 
 

@@ -30,7 +30,6 @@ class ReplayBuffer:
         self._dones = np.zeros(self.capacity, dtype=bool)
         self._size = 0
         self._next = 0
-        self.insert_count = 0
 
     def __len__(self):
         return self._size
@@ -59,7 +58,6 @@ class ReplayBuffer:
         self._dones[i] = exp.done
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
-        self.insert_count += 1
 
     def _valid_index(self, value):
         return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -68,7 +66,7 @@ class ReplayBuffer:
     def sample_arrays(self, batch_size, rng):
         """Uniform sample with replacement, deterministic per rng state, as
         stacked arrays (states, actions, rewards, next_states, dones)."""
-        idx = self._sample_indices(batch_size, rng)
+        idx = rng.integers(0, self._size, size=batch_size)
         return (
             self._states.take(idx, axis=0),
             self._actions.take(idx),
@@ -76,12 +74,3 @@ class ReplayBuffer:
             self._next_states.take(idx, axis=0),
             self._dones.take(idx),
         )
-
-    def _sample_indices(self, batch_size, rng):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if self._size < batch_size:
-            raise ValueError(
-                f"buffer holds {self._size} experiences, need {batch_size}"
-            )
-        return rng.integers(0, self._size, size=batch_size)

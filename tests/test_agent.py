@@ -235,7 +235,7 @@ class TestCheckpoint:
         agent = make_agent(seed=30, gamma=0.95)
         agent.optimizer.step_count = 17
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(agent, prefix, episode=42, extra={"env": "hovertrap"})
+        save_checkpoint(agent, prefix, 42, "hovertrap")
         loaded, meta = load_checkpoint(prefix)
         assert meta["env"] == "hovertrap"
         assert int(meta["episode"]) == 42
@@ -254,7 +254,7 @@ class TestCheckpoint:
         buf = fill_buffer(agent)
         assert agent.train_step(buf, np.random.default_rng(4)) is not None
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(agent, prefix)
+        save_checkpoint(agent, prefix, 0, "hovertrap")
         loaded, _ = load_checkpoint(prefix)
         for net in (agent, loaded):
             rng = np.random.default_rng(5)
@@ -270,7 +270,7 @@ class TestCheckpoint:
 
     def test_missing_adam_moments_rejected(self, tmp_path):
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(make_agent(seed=33), prefix)
+        save_checkpoint(make_agent(seed=33), prefix, 0, "hovertrap")
         (tmp_path / "ckpt.adam_v.net").unlink()
         with pytest.raises(FileNotFoundError):
             load_checkpoint(prefix)
@@ -279,7 +279,7 @@ class TestCheckpoint:
         # The layer sizes live in .meta alone; an array of another length
         # is refused by the file that holds it.
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(make_agent(seed=34), prefix)
+        save_checkpoint(make_agent(seed=34), prefix, 0, "hovertrap")
         with open(prefix + ".adam_m.net", "wb") as fh:
             np.save(fh, np.zeros(mlp.param_count((4, 8, 3))))
         with pytest.raises(ValueError, match=r"ckpt\.adam_m\.net: .*shape"):
@@ -291,7 +291,7 @@ class TestCheckpoint:
         agent = make_agent(seed=37)
         agent.train_step(fill_buffer(agent), np.random.default_rng(6))
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(agent, prefix)
+        save_checkpoint(agent, prefix, 0, "hovertrap")
         for name, flat in (("online", agent.online.flat),
                            ("target", agent.target.flat),
                            ("adam_m", agent.optimizer.m.flat),
@@ -308,7 +308,7 @@ class TestCheckpoint:
     ])
     def test_unparsable_meta_value_named(self, tmp_path, key, text):
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(make_agent(seed=35), prefix)
+        save_checkpoint(make_agent(seed=35), prefix, 0, "hovertrap")
         meta = tmp_path / "ckpt.meta"
         lines = meta.read_text().splitlines()
         meta.write_text("".join(
@@ -319,11 +319,25 @@ class TestCheckpoint:
         message = str(excinfo.value)
         assert "ckpt.meta" in message and key in message and repr(text) in message
 
+    @pytest.mark.parametrize("line, message", [
+        ("garbage line", "'garbage line' has no ="),
+        ("gama=0.5", "unknown key 'gama'"),
+        ("gamma=0.9", "'gamma' is repeated"),
+    ])
+    def test_malformed_meta_line_named(self, tmp_path, line, message):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(make_agent(seed=38), prefix, 0, "hovertrap")
+        with open(prefix + ".meta", "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError, match="ckpt.meta") as excinfo:
+            load_checkpoint(prefix)
+        assert message in str(excinfo.value)
+
     def test_meta_keeps_its_format(self, tmp_path):
         prefix = str(tmp_path / "ckpt")
         agent = make_agent(seed=36, double_dqn=False)
         agent.optimizer.step_count = 3
-        save_checkpoint(agent, prefix, episode=7, extra={"env": "hovertrap"})
+        save_checkpoint(agent, prefix, 7, "hovertrap")
         assert (tmp_path / "ckpt.meta").read_text() == (
             "gamma=0.99\nlearning_rate=0.01\nbatch_size=4\n"
             "target_sync_period_episodes=20\ndouble_dqn=0\nkappa=1.0\n"
@@ -334,7 +348,7 @@ class TestCheckpoint:
     def test_load_accepts_meta_path(self, tmp_path):
         agent = make_agent(seed=31)
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(agent, prefix)
+        save_checkpoint(agent, prefix, 0, "hovertrap")
         loaded, _ = load_checkpoint(prefix + ".meta")
         assert loaded.config.batch_size == agent.config.batch_size
 

@@ -469,6 +469,9 @@ MALFORMED = {
                           set_meta(b"layer_sizes", b"layer_sizes=4,0,3\n")),
     "env-missing": ("final.meta", set_meta(b"env", b"")),
     "env-unknown": ("final.meta", set_meta(b"env", b"env=cartpole\n")),
+    "line-without-equals": ("final.meta", lambda blob: blob + b"garbage line\n"),
+    "unknown-key": ("final.meta", lambda blob: blob + b"gama=0.5\n"),
+    "repeated-key": ("final.meta", lambda blob: blob + b"gamma=0.9\n"),
 }
 
 
@@ -484,6 +487,35 @@ def test_eval_malformed_checkpoint_reports_one_error(trained_run, tmp_path,
     code = cli_main(["eval", "--checkpoint", str(out / "final")])
     assert code == 1
     assert str(path) in one_error(capsys)
+
+
+# id -> (config file text, part of the error line). configparser's own
+# errors span several lines; train prints the first.
+MALFORMED_CONFIG = {
+    "no-section-header": ("seed = 3\n[run]\nenv = hovertrap\n",
+                          "contains no section headers"),
+    "repeated-key": ("[run]\nenv = hovertrap\nseed = 1\nseed = 2\n",
+                     "option 'seed' in section 'run' already exists"),
+    "repeated-section": ("[run]\nenv = hovertrap\n[run]\nseed = 2\n",
+                         "section 'run' already exists"),
+    # configparser would copy these keys into [run] and [agent].
+    "default-section": ("[DEFAULT]\nseed = 3\n[run]\nenv = hovertrap\n",
+                        "unknown section(s) [DEFAULT]"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_CONFIG.values(),
+                         ids=MALFORMED_CONFIG)
+def test_train_malformed_config_file_reports_one_error(tmp_path, capsys, text,
+                                                      message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    code = cli_main(["train", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = one_error(capsys)
+    assert err.startswith(f"error: {cfg}: ") and message in err
+    assert not out.exists()
 
 
 def src_on_path():

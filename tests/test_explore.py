@@ -103,11 +103,13 @@ class TestSoftmax:
 class TestEpsilonSchedule:
     def test_single_decay(self):
         sched = EpsilonSchedule(epsilon=1.0, decay_rate=0.99)
-        assert sched.decay().epsilon == pytest.approx(0.99)
+        sched.decay()
+        assert sched.epsilon == pytest.approx(0.99)
 
     def test_floor_holds(self):
         sched = EpsilonSchedule(epsilon=0.01, epsilon_min=0.01, decay_rate=0.99)
-        assert sched.decay().epsilon == 0.01
+        sched.decay()
+        assert sched.epsilon == 0.01
 
     def test_decays_until_floor_count(self):
         # Iterating the recurrence: 0.99^459 < 0.01 <= 0.99^458, so the floor
@@ -121,16 +123,19 @@ class TestEpsilonSchedule:
 
     def test_reanneal_resets_to_one(self):
         sched = EpsilonSchedule(epsilon=0.01)
-        assert sched.reanneal().epsilon == 1.0
+        sched.reanneal()
+        assert sched.epsilon == 1.0
 
     def test_reanneal_idempotent(self):
         sched = EpsilonSchedule(epsilon=1.0)
-        assert sched.reanneal().epsilon == 1.0
+        sched.reanneal()
+        assert sched.epsilon == 1.0
 
     def test_reanneal_then_decay(self):
         sched = EpsilonSchedule(epsilon=0.2, decay_rate=0.99)
         sched.reanneal()
-        assert sched.decay().epsilon == pytest.approx(0.99)
+        sched.decay()
+        assert sched.epsilon == pytest.approx(0.99)
 
     def test_bounds_under_any_interleaving(self):
         rng = np.random.default_rng(8)
@@ -146,11 +151,13 @@ class TestEpsilonSchedule:
 class TestSoftmaxSchedule:
     def test_reanneal_restores_initial(self):
         sched = SoftmaxSchedule(temperature=0.05, temperature_initial=1.0)
-        assert sched.reanneal().temperature == 1.0
+        sched.reanneal()
+        assert sched.temperature == 1.0
 
     def test_reanneal_noop_at_initial(self):
         sched = SoftmaxSchedule(temperature=1.0, temperature_initial=1.0)
-        assert sched.reanneal().temperature == 1.0
+        sched.reanneal()
+        assert sched.temperature == 1.0
 
     def test_decay_reanneal_decay_composition(self):
         a = SoftmaxSchedule(temperature=1.0, temperature_initial=1.0,

@@ -485,7 +485,7 @@ class TestCheckpointFormat:
         agent = Agent(AgentConfig(), p.layer_sizes, rng)
         agent.online.flat[:] = p.flat
         prefix = str(tmp_path / "net")
-        save_checkpoint(agent, prefix)
+        save_checkpoint(agent, prefix, 0, "lander")
         loaded = load_checkpoint(prefix)[0].online
         assert loaded.layer_sizes == p.layer_sizes
         for a, b in zip(p.weights + p.biases, loaded.weights + loaded.biases):

@@ -65,13 +65,6 @@ class TestPush:
         with pytest.raises(ValueError):
             buf.push(bad)
 
-    def test_insert_count_tracks_total_pushes(self):
-        buf = ReplayBuffer(capacity=3, obs_size=4)
-        for tag in range(7):
-            buf.push(make_exp(tag))
-        assert buf.insert_count == 7
-        assert len(buf) == 3
-
 
 class TestSample:
     def test_single_element(self):
@@ -91,12 +84,6 @@ class TestSample:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
-    def test_insufficient_data_rejected(self):
-        buf = ReplayBuffer(capacity=10, obs_size=4)
-        buf.push(make_exp(0))
-        with pytest.raises(ValueError):
-            buf.sample_arrays(2, np.random.default_rng(0))
-
     def test_sampling_does_not_mutate_contents(self):
         buf = ReplayBuffer(capacity=10, obs_size=4)
         for tag in range(10):
@@ -106,7 +93,8 @@ class TestSample:
         assert [e.reward for e in as_list(buf)] == before
 
     def test_uniformity_chi_squared(self):
-        # 10^6 total draws over 100 elements vs the uniform distribution.
+        # 10^6 total draws over 100 elements vs the uniform distribution;
+        # each element's reward is its row, so the rewards count the draws.
         buf = ReplayBuffer(capacity=100, obs_size=1)
         for tag in range(100):
             buf.push(Experience(np.array([float(tag)]), 0, float(tag),
@@ -114,7 +102,8 @@ class TestSample:
         rng = np.random.default_rng(7)
         counts = np.zeros(100, dtype=np.int64)
         for _ in range(10_000):
-            counts += np.bincount(buf._sample_indices(100, rng), minlength=100)
+            rewards = buf.sample_arrays(100, rng)[2]
+            counts += np.bincount(rewards.astype(int), minlength=100)
         result = stats.chisquare(counts)
         assert result.pvalue > 0.001
 
@@ -127,7 +116,8 @@ class TestSample:
         rng = np.random.default_rng(3)
         counts = np.zeros(n, dtype=np.int64)
         for _ in range(1000):
-            counts += np.bincount(buf._sample_indices(n, rng), minlength=n)
+            rewards = buf.sample_arrays(n, rng)[2]
+            counts += np.bincount(rewards.astype(int), minlength=n)
         draws = 1000 * n
         expect = draws / n
         sigma = np.sqrt(draws * (1 / n) * (1 - 1 / n))
@@ -139,7 +129,8 @@ class TestSample:
         for tag in range(20):
             buf.push(Experience(rng_fill.normal(size=3), tag % 4, float(tag),
                                 rng_fill.normal(size=3), tag % 5 == 0))
-        idx = buf._sample_indices(8, np.random.default_rng(9))
+        # A uniform draw with replacement over the 20 filled rows.
+        idx = np.random.default_rng(9).integers(0, 20, size=8)
         objs = [experience_at(buf, i) for i in idx]
         states, actions, rewards, next_states, dones = (
             buf.sample_arrays(8, np.random.default_rng(9))
@@ -195,7 +186,6 @@ def check_against_list_model(buf, pushes, batch, seed):
         model.append(as_row(exp))
         kept = model[-capacity:]
         assert len(buf) == len(kept)
-        assert buf.insert_count == len(model)
         assert [as_row(e) for e in as_list(buf)] == kept
     if len(buf) >= batch:
         columns = buf.sample_arrays(batch, np.random.default_rng(seed))
@@ -234,7 +224,8 @@ class TestIndexObservations:
         setattr(exp, field, bad)
         with pytest.raises(ValueError, match=r"not both ints in \[0, 5\)"):
             buf.push(exp)
-        assert len(buf) == 0 and buf.insert_count == 0
+        assert len(buf) == 0 and buf._next == 0
+        assert not buf._states.any() and not buf._next_states.any()
 
     def test_numpy_ints_accepted_and_sampled_as_int64(self):
         buf = ReplayBuffer(4, INDEX_OBS_SIZE, index_observations=True)

@@ -76,7 +76,7 @@ def agents(draw):
 def test_checkpoint_round_trip(agent, episode):
     with tempfile.TemporaryDirectory() as tmp:
         prefix = os.path.join(tmp, "ckpt")
-        save_checkpoint(agent, prefix, episode, extra={"env": "hovertrap"})
+        save_checkpoint(agent, prefix, episode, "hovertrap")
         loaded, meta = load_checkpoint(prefix)
     assert loaded.config == agent.config
     assert loaded.optimizer.step_count == agent.optimizer.step_count
