@@ -129,6 +129,7 @@ def _cmd_bandit(args):
     spec = bandit_mod.BanditSpec(
         arm_means=[0.0, 1.0], noise_std=0.1, horizon=args.horizon
     )
+    os.makedirs(args.out, exist_ok=True)  # fail before, not after, the runs
     strategies = [
         ("regret_greedy", bandit_mod.Greedy()),
         ("regret_const", bandit_mod.ConstantEps(0.1)),
@@ -141,7 +142,6 @@ def _cmd_bandit(args):
     for k, curve in enumerate(run_parallel(_bandit_run, jobs)):
         totals[k // args.seeds] += curve
     columns = [total / args.seeds for total in totals]
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "regret.csv")
     row_format = "%d" + ",%.6g" * len(columns) + "\n"
     with open(path, "w") as fh:

@@ -90,9 +90,6 @@ class LanderEnv:
     def __init__(self):
         self.state = None
         self._terminal = True  # until reset or set_state starts an episode
-        # Terminal bonus of the last finished episode: +100/pad-band for
-        # rest, -100 for crash, None for out-of-bounds or timeout.
-        self.last_terminal_bonus = None
 
     def reset(self, rng):
         """Spawn near top-center with small random velocity and tilt."""
@@ -111,7 +108,6 @@ class LanderEnv:
         self.step_index = 0
         self._rest_count = 0
         self._terminal = False
-        self.last_terminal_bonus = None
         return observation_from_state(self.state)
 
     def step(self, action):
@@ -154,7 +150,6 @@ class LanderEnv:
 
         done = False
         reward_terminal = 0.0
-        bonus = None
 
         if s.y <= 0.0:
             impact_speed = np.hypot(s.vx, s.vy)
@@ -162,8 +157,7 @@ class LanderEnv:
                 impact_speed > CRASH_SPEED or abs(s.angle) > CRASH_ANGLE
             ):
                 done = True
-                bonus = -100.0
-                reward_terminal = bonus
+                reward_terminal = -100.0
                 s.y = 0.0
             else:
                 # Gentle contact: settle on the ground.
@@ -180,8 +174,7 @@ class LanderEnv:
                     self._rest_count = 0
                 if self._rest_count >= REST_STEPS:
                     done = True
-                    bonus = pad_bonus(s.x)
-                    reward_terminal = bonus
+                    reward_terminal = pad_bonus(s.x)
         else:
             s.leg_left_contact = False
             s.leg_right_contact = False
@@ -194,6 +187,4 @@ class LanderEnv:
         self.step_index += 1
         timed_out = not done and self.step_index >= MAX_EPISODE_STEPS
         self._terminal = done or timed_out
-        if self._terminal:
-            self.last_terminal_bonus = bonus
         return StepResult(observation_from_state(s), float(reward), done, timed_out)

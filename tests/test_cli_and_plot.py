@@ -15,6 +15,9 @@ from reanneal_rl.config import load_config
 from reanneal_rl.harness import EpisodeRecord, read_metrics_csv
 from reanneal_rl.plotting import emit_reward_plot
 
+TABULAR_CONFIG = (Path(__file__).resolve().parent.parent / "experiments"
+                  / "configs" / "hovertrap-tabular.cfg")
+
 
 def one_error(capsys):
     """The single stderr line of a failed command, which must be an error."""
@@ -333,6 +336,19 @@ class TestCli:
         assert "--seeds" in err[0]
         assert not (out / "regret.csv").exists()
 
+    def test_bandit_uncreatable_out_fails_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulated before making --out")
+
+        monkeypatch.setattr("reanneal_rl.cli.run_parallel", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli_main(["bandit", "--horizon", "50", "--seeds", "2",
+                         "--out", str(blocker / "bandit")])
+        assert code == 1
+        assert "Not a directory" in one_error(capsys)
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["frobnicate"])
@@ -375,6 +391,30 @@ class TestCli:
             return [line.rsplit(",", 1)[0] for line in
                     (out / "metrics.csv").read_text().splitlines()]
 
+        assert no_wall(again) == no_wall(first)
+
+    def test_tabular_config_trains_evaluates_and_repeats(self, tmp_path,
+                                                          capsys):
+        # An empty hidden_sizes trains the (85, 2) network, a Q-table.
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli_main(["train", "--config", str(TABULAR_CONFIG),
+                         "--episodes", "20", "--seed", "100",
+                         "--out", str(first)]) == 0
+        meta = (first / "final.meta").read_text().splitlines()
+        assert "layer_sizes=85,2" in meta
+        assert "learning_rate=0.1" in meta
+        assert cli_main(["eval", "--checkpoint", str(first / "final"),
+                         "--episodes", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "hovertrap: greedy return over 2 episodes:")
+        assert cli_main(["train", "--config", str(first / "manifest.cfg"),
+                         "--out", str(again)]) == 0
+
+        def no_wall(out):
+            return [line.rsplit(",", 1)[0] for line in
+                    (out / "metrics.csv").read_text().splitlines()]
+
+        assert len(no_wall(first)) == 21
         assert no_wall(again) == no_wall(first)
 
     @pytest.mark.parametrize("flag, env_value, seed", [

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from reanneal_rl.envs.lander import (
+    ACTION_LEFT,
     ACTION_MAIN,
     ACTION_NOOP,
+    ACTION_RIGHT,
     DT,
     LanderEnv,
     LanderState,
@@ -13,15 +15,40 @@ from reanneal_rl.envs.lander import (
     pad_bonus,
 )
 
+from oracles import lander_step_bonus
 
-def run_random_episode(env, rng):
-    env.reset(rng)
-    total = 0.0
+# A derived nonzero bonus is the reward less the shaping and fuel terms it
+# was summed with, so it may round in the last bits.
+BONUS_TOL = 1e-9
+
+
+def uniform_random(observation, rng):
+    return int(rng.integers(0, 4))
+
+
+def noisy_descent(observation, rng):
+    """Brake the fall and level the tilt, with one action in ten uniform:
+    its episodes crash, fly out of bounds and come to rest."""
+    if rng.random() < 0.1:
+        return int(rng.integers(0, 4))
+    if observation[3] < -0.3:
+        return ACTION_MAIN
+    if abs(observation[4]) > 0.05:
+        return ACTION_LEFT if observation[4] > 0 else ACTION_RIGHT
+    return ACTION_NOOP
+
+
+def run_episode(env, rng, policy):
+    """Play one episode from env.reset(rng) with `policy(observation, rng)`;
+    returns each step's (StepResult, derived terminal bonus)."""
+    observation = env.reset(rng)
+    steps = []
     while True:
-        result = env.step(int(rng.integers(0, 4)))
-        total += result.reward
+        result, bonus = lander_step_bonus(env, policy(observation, rng))
+        steps.append((result, bonus))
+        observation = result.observation
         if result.done or result.timed_out:
-            return total, result
+            return steps
 
 
 class TestReset:
@@ -73,20 +100,20 @@ class TestStepDynamics:
         env = LanderEnv()
         env.set_state(LanderState(x=0.0, y=0.01, vx=0.0, vy=-3.0, angle=0.0,
                                   angular_velocity=0.0))
-        result = env.step(ACTION_NOOP)
+        result, bonus = lander_step_bonus(env, ACTION_NOOP)
         assert result.done
-        assert env.last_terminal_bonus == -100.0
+        assert bonus == pytest.approx(-100.0, abs=BONUS_TOL)
 
     def test_soft_pad_landing_bonus_in_band(self):
         env = LanderEnv()
         env.set_state(LanderState(x=0.05, y=0.005, vx=0.0, vy=-0.1,
                                   angle=0.0, angular_velocity=0.0))
         for _ in range(30):
-            result = env.step(ACTION_NOOP)
+            result, bonus = lander_step_bonus(env, ACTION_NOOP)
             if result.done:
                 break
         assert result.done
-        assert 100.0 <= env.last_terminal_bonus <= 140.0
+        assert bonus == pytest.approx(pad_bonus(env.state.x), abs=BONUS_TOL)
 
     def test_rest_on_pad_under_noop(self):
         env = LanderEnv()
@@ -95,11 +122,11 @@ class TestStepDynamics:
                             leg_right_contact=True)
         env.set_state(state)
         for _ in range(15):
-            result = env.step(ACTION_NOOP)
+            result, bonus = lander_step_bonus(env, ACTION_NOOP)
             if result.done:
                 break
         assert result.done
-        assert 100.0 <= env.last_terminal_bonus <= 140.0
+        assert bonus == pytest.approx(pad_bonus(env.state.x), abs=BONUS_TOL)
 
     def test_rest_off_pad_gets_plain_bonus(self):
         env = LanderEnv()
@@ -107,19 +134,19 @@ class TestStepDynamics:
                                   angular_velocity=0.0, leg_left_contact=True,
                                   leg_right_contact=True))
         for _ in range(15):
-            result = env.step(ACTION_NOOP)
+            result, bonus = lander_step_bonus(env, ACTION_NOOP)
             if result.done:
                 break
         assert result.done
-        assert env.last_terminal_bonus == 100.0
+        assert bonus == pytest.approx(100.0, abs=BONUS_TOL)
 
     def test_out_of_bounds_no_bonus(self):
         env = LanderEnv()
         env.set_state(LanderState(x=0.99, y=1.0, vx=5.0, vy=0.0, angle=0.0,
                                   angular_velocity=0.0))
-        result = env.step(ACTION_NOOP)
+        result, bonus = lander_step_bonus(env, ACTION_NOOP)
         assert result.done
-        assert env.last_terminal_bonus is None
+        assert bonus == 0.0
 
     def test_stepping_terminal_rejected(self):
         env = LanderEnv()
@@ -142,14 +169,42 @@ class TestContract:
         env = LanderEnv()
         contact_terminations = 0
         for _ in range(100):
-            _, result = run_random_episode(env, rng)
+            steps = run_episode(env, rng, uniform_random)
+            assert all(bonus == 0.0 for _, bonus in steps[:-1])
+            result, bonus = steps[-1]
             assert env.step_index <= MAX_EPISODE_STEPS
             assert not (result.done and result.timed_out)
-            if result.done and env.last_terminal_bonus is not None:
+            if result.done and bonus != 0.0:
                 contact_terminations += 1
-                bonus = env.last_terminal_bonus
-                assert bonus == -100.0 or 100.0 <= bonus <= 140.0
+                assert (bonus == pytest.approx(-100.0, abs=BONUS_TOL)
+                        or bonus == pytest.approx(pad_bonus(env.state.x),
+                                                  abs=BONUS_TOL))
         assert contact_terminations > 0
+
+    def test_terminal_bonus_on_every_step(self):
+        # The bonus is 0 on every step that does not end the episode. An
+        # ending step is out of bounds if the lander is airborne, a crash if
+        # it is on the ground without leg contact, and a rest otherwise.
+        rng = np.random.default_rng(123)
+        env = LanderEnv()
+        endings = set()
+        for _ in range(60):
+            for result, bonus in run_episode(env, rng, noisy_descent):
+                if not result.done:
+                    assert bonus == 0.0
+                    continue
+                s = env.state
+                if s.y > 0.0:
+                    endings.add("out of bounds")
+                    assert bonus == 0.0
+                elif not s.leg_left_contact:
+                    endings.add("crash")
+                    assert bonus == pytest.approx(-100.0, abs=BONUS_TOL)
+                else:
+                    endings.add("rest")
+                    assert bonus == pytest.approx(pad_bonus(s.x),
+                                                  abs=BONUS_TOL)
+        assert endings == {"out of bounds", "crash", "rest"}
 
     def test_pad_bonus_interpolation(self):
         assert pad_bonus(0.0) == 140.0

@@ -25,11 +25,14 @@ def test_checkout_matches_itself():
     assert "same    lander/metrics.csv" in lines
     assert "same    lander eval stdout" in lines
     assert "same    bandit/regret.csv" in lines
+    assert "same    hovertrap_tabular/final.online.net" in lines
+    assert "same    hovertrap_tabular eval stdout" in lines
 
 
 def test_changed_learning_rate_is_reported(tmp_path):
     # HoverTrap's default learning rate changes both HoverTrap runs but
-    # neither the lander run nor the bandit.
+    # neither the lander run, nor the tabular run, whose config file sets
+    # its own rate, nor the bandit.
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     config = tmp_path / "src" / "reanneal_rl" / "config.py"
@@ -43,4 +46,6 @@ def test_changed_learning_rate_is_reported(tmp_path):
     assert "DIFFERS hovertrap_reanneal/final.online.net" in lines
     assert "DIFFERS hovertrap_no_reanneal/manifest.cfg" in lines
     assert "same    lander/final.online.net" in lines
+    assert "same    hovertrap_tabular/final.online.net" in lines
+    assert "same    hovertrap_tabular/manifest.cfg" in lines
     assert "same    bandit/regret.csv" in lines
