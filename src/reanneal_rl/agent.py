@@ -115,6 +115,7 @@ def _read_array(path, out):
 
 def load_checkpoint(prefix):
     """Rebuild an agent, Adam state included, from save_checkpoint() output.
+    A network whose input and output sizes do not fit its env is refused.
 
     Accepts the prefix or the .meta path. Returns (agent, meta dict)."""
     prefix = prefix.removesuffix(".meta")
@@ -142,6 +143,12 @@ def load_checkpoint(prefix):
     except ValueError:
         raise ValueError(f"{path}: layer_sizes = {meta['layer_sizes']!r} is "
                          "not two or more positive ints") from None
+    spec = ENVS[meta["env"]].spec
+    if (sizes[0], sizes[-1]) != (spec.observation_size, spec.action_count):
+        raise ValueError(
+            f"{path}: the network has {sizes[0]} inputs and {sizes[-1]} "
+            f"outputs, but {meta['env']} has {spec.observation_size} "
+            f"observations and {spec.action_count} actions")
     for key in ("episode", "adam_step_count"):
         if not (meta[key].isascii() and meta[key].isdigit()):
             raise ValueError(f"{path}: {key} = {meta[key]!r} is not an int >= 0")

@@ -24,7 +24,6 @@ from .harness import (evaluate_greedy, read_metrics_csv, run_parallel,
                       run_training)
 from .plotting import emit_reward_plot
 
-SEED_ENV_VAR = "REANNEAL_RL_SEED"
 _CSV_CHUNK_ROWS = 256   # regret.csv rows formatted per write
 
 
@@ -64,24 +63,8 @@ def build_parser():
     ev.add_argument("--checkpoint", required=True,
                     help="checkpoint prefix or .meta path")
     ev.add_argument("--episodes", type=int, default=10)
-    ev.add_argument("--seed", type=int)
+    ev.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _resolve_seed(args_seed, default=0):
-    """--seed, else REANNEAL_RL_SEED, else `default` (train passes its
-    config file's seed); an error names the source."""
-    if args_seed is not None:
-        seed, source = args_seed, "--seed"
-    else:
-        raw = os.environ.get(SEED_ENV_VAR, str(default))
-        try:
-            seed, source = int(raw), SEED_ENV_VAR
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} = {raw!r} is not a valid int") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be >= 0, got {seed}")
-    return seed
 
 
 def _cmd_train(args):
@@ -95,7 +78,6 @@ def _cmd_train(args):
                              f"in {args.config}")
     else:
         config = default_config(args.env or "lander")
-    overrides["seed"] = _resolve_seed(args.seed, config.seed)
     # replace() rejects an unknown field and reruns the config's validation.
     config = replace(config, **overrides)
 
@@ -141,9 +123,10 @@ def _cmd_bandit(args):
     totals = [np.zeros(args.horizon) for _ in strategies]
     for k, curve in enumerate(run_parallel(_bandit_run, jobs)):
         totals[k // args.seeds] += curve
-    columns = [total / args.seeds for total in totals]
+    for total in totals:
+        total /= args.seeds
     path = os.path.join(args.out, "regret.csv")
-    row_format = "%d" + ",%.6g" * len(columns) + "\n"
+    row_format = "%d" + ",%.6g" * len(totals) + "\n"
     with open(path, "w") as fh:
         fh.write("t," + ",".join(name for name, _ in strategies) + "\n")
         # Chunks of Python floats format fast; small chunks keep peak memory
@@ -151,7 +134,7 @@ def _cmd_bandit(args):
         for start in range(0, args.horizon, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, args.horizon)
             rows = zip(range(start + 1, stop + 1),
-                       *(column[start:stop].tolist() for column in columns))
+                       *(total[start:stop].tolist() for total in totals))
             fh.write("".join([row_format % row for row in rows]))
     print(f"wrote {path} ({args.seeds} seeds, horizon {args.horizon})")
     return 0
@@ -167,16 +150,11 @@ def _cmd_plot(args):
 def _cmd_eval(args):
     if args.episodes < 1:
         raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     agent, meta = load_checkpoint(args.checkpoint)
     env = make_env(meta["env"])
-    sizes = agent.online.layer_sizes
-    expected = (env.spec.observation_size, env.spec.action_count)
-    if (sizes[0], sizes[-1]) != expected:
-        raise ValueError(
-            f"checkpoint {args.checkpoint} has {sizes[0]} inputs and "
-            f"{sizes[-1]} outputs, but {meta['env']} has {expected[0]} "
-            f"observations and {expected[1]} actions")
-    rng = np.random.default_rng(_resolve_seed(args.seed))
+    rng = np.random.default_rng(args.seed)
     returns = evaluate_greedy(agent, env, args.episodes, rng)
     print(f"{meta['env']}: greedy return over {args.episodes} episodes: "
           f"{np.mean(returns):.3f} +- {np.std(returns):.3f}")

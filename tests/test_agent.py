@@ -10,11 +10,18 @@ from reanneal_rl.mlp import forward, forward_batch
 from reanneal_rl.replay import ReplayBuffer
 
 SIZES = (4, 8, 8, 3)
+# A network that fits HoverTrap's 85 observations and 2 actions, for the
+# checkpoints, which name an env.
+HOVERTRAP_SIZES = (85, 8, 8, 2)
 
 
-def make_agent(seed=0, **overrides):
+def make_agent(seed=0, sizes=SIZES, **overrides):
     config = AgentConfig(min_replay_before_training=8, batch_size=4, **overrides)
-    return Agent(config, SIZES, np.random.default_rng(seed))
+    return Agent(config, sizes, np.random.default_rng(seed))
+
+
+def hovertrap_agent(seed, **overrides):
+    return make_agent(seed, HOVERTRAP_SIZES, **overrides)
 
 
 def zero_networks(agent):
@@ -43,11 +50,13 @@ def targets(agent, batch):
 
 
 def fill_buffer(agent, n=32, seed=1):
+    """Dense transitions of the agent's input and action sizes."""
+    inputs, actions = agent.online.layer_sizes[0], agent.online.layer_sizes[-1]
     rng = np.random.default_rng(seed)
-    buf = ReplayBuffer(capacity=64, obs_size=4)
+    buf = ReplayBuffer(capacity=64, obs_size=inputs)
     for _ in range(n):
-        buf.push(exp(rng.normal(size=4), int(rng.integers(0, 3)),
-                     float(rng.normal()), rng.normal(size=4)))
+        buf.push(exp(rng.normal(size=inputs), int(rng.integers(0, actions)),
+                     float(rng.normal()), rng.normal(size=inputs)))
     return buf
 
 
@@ -232,7 +241,7 @@ class TestGreedyAction:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        agent = make_agent(seed=30, gamma=0.95)
+        agent = hovertrap_agent(30, gamma=0.95)
         agent.optimizer.step_count = 17
         prefix = str(tmp_path / "ckpt")
         save_checkpoint(agent, prefix, 42, "hovertrap")
@@ -241,7 +250,7 @@ class TestCheckpoint:
         assert int(meta["episode"]) == 42
         assert loaded.config.gamma == 0.95
         assert loaded.optimizer.step_count == 17
-        s = np.random.default_rng(0).normal(size=4)
+        s = np.random.default_rng(0).normal(size=85)
         assert np.array_equal(forward(loaded.online, s),
                               forward(agent.online, s))
         assert np.array_equal(forward(loaded.target, s),
@@ -250,7 +259,7 @@ class TestCheckpoint:
     def test_loaded_agent_trains_like_the_saved_one(self, tmp_path):
         # Save after the first step, when the Adam moments are no longer
         # zero; the two agents must then stay bitwise equal.
-        agent = make_agent(seed=32)
+        agent = hovertrap_agent(32)
         buf = fill_buffer(agent)
         assert agent.train_step(buf, np.random.default_rng(4)) is not None
         prefix = str(tmp_path / "ckpt")
@@ -270,7 +279,7 @@ class TestCheckpoint:
 
     def test_missing_adam_moments_rejected(self, tmp_path):
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(make_agent(seed=33), prefix, 0, "hovertrap")
+        save_checkpoint(hovertrap_agent(33), prefix, 0, "hovertrap")
         (tmp_path / "ckpt.adam_v.net").unlink()
         with pytest.raises(FileNotFoundError):
             load_checkpoint(prefix)
@@ -279,16 +288,16 @@ class TestCheckpoint:
         # The layer sizes live in .meta alone; an array of another length
         # is refused by the file that holds it.
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(make_agent(seed=34), prefix, 0, "hovertrap")
+        save_checkpoint(hovertrap_agent(34), prefix, 0, "hovertrap")
         with open(prefix + ".adam_m.net", "wb") as fh:
-            np.save(fh, np.zeros(mlp.param_count((4, 8, 3))))
+            np.save(fh, np.zeros(mlp.param_count((85, 8, 2))))
         with pytest.raises(ValueError, match=r"ckpt\.adam_m\.net: .*shape"):
             load_checkpoint(prefix)
 
     def test_arrays_are_npy_vectors(self, tmp_path):
         """Each .net file is one '<f8' .npy vector, the agent's flat buffer
         byte for byte, and .meta records the layer sizes."""
-        agent = make_agent(seed=37)
+        agent = hovertrap_agent(37)
         agent.train_step(fill_buffer(agent), np.random.default_rng(6))
         prefix = str(tmp_path / "ckpt")
         save_checkpoint(agent, prefix, 0, "hovertrap")
@@ -298,9 +307,9 @@ class TestCheckpoint:
                            ("adam_v", agent.optimizer.v.flat)):
             array = np.load(f"{prefix}.{name}.net", allow_pickle=False)
             assert array.dtype.str == "<f8"
-            assert array.shape == (mlp.param_count(SIZES),)
+            assert array.shape == (mlp.param_count(HOVERTRAP_SIZES),)
             assert array.tobytes() == flat.tobytes()
-        assert "layer_sizes=4,8,8,3\n" in (tmp_path / "ckpt.meta").read_text()
+        assert "layer_sizes=85,8,8,2\n" in (tmp_path / "ckpt.meta").read_text()
 
     @pytest.mark.parametrize("key, text", [
         ("gamma", "abc"), ("batch_size", "4.5"), ("double_dqn", "maybe"),
@@ -309,7 +318,7 @@ class TestCheckpoint:
     ])
     def test_unparsable_meta_value_named(self, tmp_path, key, text):
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(make_agent(seed=35), prefix, 0, "hovertrap")
+        save_checkpoint(hovertrap_agent(35), prefix, 0, "hovertrap")
         meta = tmp_path / "ckpt.meta"
         lines = meta.read_text().splitlines()
         meta.write_text("".join(
@@ -327,7 +336,7 @@ class TestCheckpoint:
     ])
     def test_malformed_meta_line_named(self, tmp_path, line, message):
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(make_agent(seed=38), prefix, 0, "hovertrap")
+        save_checkpoint(hovertrap_agent(38), prefix, 0, "hovertrap")
         with open(prefix + ".meta", "a") as fh:
             fh.write(line + "\n")
         with pytest.raises(ValueError, match="ckpt.meta") as excinfo:
@@ -336,18 +345,28 @@ class TestCheckpoint:
 
     def test_meta_keeps_its_format(self, tmp_path):
         prefix = str(tmp_path / "ckpt")
-        agent = make_agent(seed=36, double_dqn=False)
+        agent = hovertrap_agent(36, double_dqn=False)
         agent.optimizer.step_count = 3
         save_checkpoint(agent, prefix, 7, "hovertrap")
         assert (tmp_path / "ckpt.meta").read_text() == (
             "gamma=0.99\nlearning_rate=0.01\nbatch_size=4\n"
             "target_sync_period_episodes=20\ndouble_dqn=0\nkappa=1.0\n"
             "min_replay_before_training=8\nepisode=7\nadam_step_count=3\n"
-            "layer_sizes=4,8,8,3\nenv=hovertrap\n"
+            "layer_sizes=85,8,8,2\nenv=hovertrap\n"
         )
 
+    def test_network_for_another_env_rejected(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(make_agent(seed=39), prefix, 0, "hovertrap")
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(prefix)
+        message = str(excinfo.value)
+        assert message.startswith(f"{prefix}.meta: ")
+        assert "4 inputs and 3 outputs" in message
+        assert "hovertrap has 85 observations and 2 actions" in message
+
     def test_load_accepts_meta_path(self, tmp_path):
-        agent = make_agent(seed=31)
+        agent = hovertrap_agent(31)
         prefix = str(tmp_path / "ckpt")
         save_checkpoint(agent, prefix, 0, "hovertrap")
         loaded, _ = load_checkpoint(prefix + ".meta")

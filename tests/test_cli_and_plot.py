@@ -110,16 +110,6 @@ class TestCli:
         assert load_config(out / "manifest.cfg").output_dir == str(out)
         assert len(read_metrics_csv(out / "metrics.csv")) == 2
 
-    def test_env_var_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REANNEAL_RL_SEED", "77")
-        out = tmp_path / "run"
-        code = cli_main([
-            "train", "--env", "hovertrap", "--episodes", "3",
-            "--out", str(out),
-        ])
-        assert code == 0
-        assert "seed = 77" in (out / "manifest.cfg").read_text()
-
     def test_eval_prints_mean_and_std(self, tmp_path, capsys):
         out = tmp_path / "run"
         cli_main(["train", "--env", "hovertrap", "--episodes", "5",
@@ -130,6 +120,20 @@ class TestCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert re.search(r"-?\d+\.\d+ \+- \d+\.\d+", printed)
+
+    def test_eval_seed_comes_from_its_flag_only(self, tmp_path, capsys,
+                                                monkeypatch):
+        # The lander's start state depends on the seed; HoverTrap's does not.
+        out = tmp_path / "run"
+        cli_main(["train", "--env", "lander", "--episodes", "1",
+                  "--seed", "2", "--out", str(out)])
+        args = ["eval", "--checkpoint", str(out / "final"), "--episodes", "2"]
+        capsys.readouterr()
+        assert cli_main(args) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.setenv("REANNEAL_RL_SEED", "9")
+        assert cli_main(args) == 0
+        assert capsys.readouterr().out == printed
 
     def test_eval_truncated_checkpoint_reports_one_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -231,7 +235,7 @@ class TestCli:
         code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
                          "--seed", "-1", "--out", str(out)])
         assert code == 1
-        assert "seed" in one_error(capsys)
+        assert "seed must be >= 0, got -1" in one_error(capsys)
         assert not out.exists()
 
     def test_zero_hidden_size_in_config_file_reports_one_error(
@@ -244,30 +248,10 @@ class TestCli:
         assert "hidden_sizes" in one_error(capsys)
         assert not out.exists()
 
-    def test_non_integer_seed_env_var_named(self, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.setenv("REANNEAL_RL_SEED", "abc")
-        out = tmp_path / "run"
-        code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
-                         "--out", str(out)])
-        assert code == 1
-        err = one_error(capsys)
-        assert "REANNEAL_RL_SEED" in err and "'abc'" in err
-        assert not out.exists()
-
-    def test_negative_seed_env_var_named_before_output_dir_exists(
-            self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REANNEAL_RL_SEED", "-1")
-        out = tmp_path / "run"
-        code = cli_main(["train", "--env", "hovertrap", "--episodes", "2",
-                         "--out", str(out)])
-        assert code == 1
-        assert "REANNEAL_RL_SEED must be >= 0, got -1" in one_error(capsys)
-        assert not out.exists()
-
+    # REANNEAL_RL_SEED is set to show that it has no say over the seed.
     @pytest.mark.parametrize("flag, env_value, source", [
         (["--seed", "-1"], None, "--seed"),
-        ([], "-1", "REANNEAL_RL_SEED"),
+        (["--seed", "-1"], "9", "--seed"),
     ])
     def test_eval_negative_seed_names_its_source(
             self, tmp_path, capsys, monkeypatch, flag, env_value, source):
@@ -379,10 +363,11 @@ class TestCli:
         assert "learning_rate = 0.002" in manifest
         assert len(read_metrics_csv(out / "metrics.csv")) == 6
 
-    def test_manifest_reproduces_its_run(self, tmp_path, capsys):
+    def test_manifest_reproduces_its_run(self, tmp_path, capsys, monkeypatch):
         first, again = tmp_path / "first", tmp_path / "again"
         assert cli_main(["train", "--env", "hovertrap", "--episodes", "5",
                          "--seed", "7", "--out", str(first)]) == 0
+        monkeypatch.setenv("REANNEAL_RL_SEED", "9")  # no say over the seed
         assert cli_main(["train", "--config", str(first / "manifest.cfg"),
                          "--out", str(again)]) == 0
         assert "seed 7" in capsys.readouterr().out.splitlines()[-3]
@@ -417,9 +402,10 @@ class TestCli:
         assert len(no_wall(first)) == 21
         assert no_wall(again) == no_wall(first)
 
+    # REANNEAL_RL_SEED is set to show that it has no say over the seed.
     @pytest.mark.parametrize("flag, env_value, seed", [
         ([], None, 5),
-        ([], "9", 9),
+        ([], "9", 5),
         (["--seed", "7"], "9", 7),
     ])
     def test_seed_precedence_flag_env_var_file(self, tmp_path, monkeypatch,

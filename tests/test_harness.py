@@ -411,6 +411,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("section, key, value", [
         ("run", "episodes", "ten"),
         ("run", "reanneal_enabled", "maybe"),
+        ("agent", "double_dqn", "2"),
         ("run", "hidden_sizes", "32,x"),
         ("agent", "batch_size", "6.5"),
         ("agent", "gamma", "abc"),
@@ -423,6 +424,18 @@ class TestConfigFile:
         with pytest.raises(ValueError) as excinfo:
             load_config(path)
         assert f"c.cfg: {key} = {value!r}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("yes", True), ("True", True), ("ON", True),
+        ("0", False), ("No", False), ("FALSE", False), ("off", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"[run]\nenv = hovertrap\nreanneal_enabled = {text}\n"
+                        f"[agent]\ndouble_dqn = {text}\n")
+        config = load_config(path)
+        assert (config.reanneal_enabled, config.agent.double_dqn) == (value,
+                                                                      value)
 
     @pytest.mark.parametrize("section, key, value", [
         ("run", "decay_rate", "1.5"),

@@ -481,7 +481,7 @@ class TestCheckpointFormat:
                                        save_checkpoint)
 
         rng = np.random.default_rng(40)
-        p = small_net(rng)
+        p = small_net(rng, sizes=(8, 7, 6, 4))  # the lander's 8 inputs, 4 actions
         agent = Agent(AgentConfig(), p.layer_sizes, rng)
         agent.online.flat[:] = p.flat
         prefix = str(tmp_path / "net")

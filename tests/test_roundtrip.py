@@ -61,8 +61,9 @@ def buffers(agent):
 @st.composite
 def agents(draw):
     """An agent built as training builds one, its four parameter buffers then
-    filled with drawn values (-0.0 and subnormals included)."""
-    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    filled with drawn values (-0.0 and subnormals included). Its network fits
+    HoverTrap's 85 observations and 2 actions, with 0-2 hidden layers drawn."""
+    sizes = (85, *draw(st.lists(st.integers(1, 5), max_size=2)), 2)
     agent = Agent(draw(agent_configs), sizes,
                   np.random.default_rng(draw(st.integers(0, 2**32))))
     for flat in buffers(agent):

@@ -47,8 +47,9 @@ def run(tree, args, out):
     """Run `python -m reanneal_rl ARGS` on `tree`'s source. Returns its exit
     status and stdout as text, with `out` (the side's output root) removed,
     and whether it succeeded."""
+    # Older trees take a seed from REANNEAL_RL_SEED, so neither side sees it.
     env = {key: value for key, value in os.environ.items()
-           if key != "REANNEAL_RL_SEED"}  # eval would take its seed from it
+           if key != "REANNEAL_RL_SEED"}
     env.update(ONE_BLAS_THREAD, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run([sys.executable, "-m", "reanneal_rl", *args],
