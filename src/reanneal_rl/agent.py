@@ -17,7 +17,12 @@ class Agent:
     """Online network from a He-uniform init drawn from `rng`, its target
     copy and zero Adam moments (load_checkpoint reads saved values into
     these buffers), plus the per-step workspaces: a gradient buffer that
-    backward fills in place, and the batch row index."""
+    backward fills in place, and the batch row index.
+
+    On index observations the agent reads rows of per-state tables
+    (mlp.index_table) instead of running forward passes. The online table
+    is built on first use after each Adam step, so once per env step, and
+    the target table once per sync. The one-hot inputs are identity rows."""
 
     def __init__(self, config, layer_sizes, rng):
         self.config = config
@@ -26,10 +31,27 @@ class Agent:
         self.optimizer = mlp.init_adam_state(self.online)
         self._grads = mlp.NetworkParams(self.online.layer_sizes)
         self._rows = np.arange(config.batch_size)
+        self._one_hot = np.eye(self.online.layer_sizes[0])
+        self._online_table = None
+        self._target_q = None
 
     def greedy_action(self, observation):
         """Argmax over online Q-values, lowest index on ties."""
         return int(np.argmax(forward(self.online, observation)))
+
+    def online_table(self):
+        """The online network's per-state activations, Q-values last."""
+        if self._online_table is None:
+            self._online_table = mlp.index_table(self.online,
+                                                 self.config.batch_size)
+        return self._online_table
+
+    def target_table(self):
+        """The target network's Q-values for every state."""
+        if self._target_q is None:
+            self._target_q = mlp.index_table(self.target,
+                                             self.config.batch_size)[-1]
+        return self._target_q
 
     def _targets(self, rewards, next_states, dones, rows):
         """Bootstrap targets for a batch; `rows` is np.arange(batch).
@@ -37,12 +59,15 @@ class Agent:
         Double DQN selects the bootstrap action with the online network and
         evaluates it with the target network; plain DQN takes the max over
         the target network. Genuine terminals (done) do not bootstrap;
-        timed-out transitions do.
+        timed-out transitions do. Index observations read table rows.
         """
-        q_target = forward_batch(self.target, next_states)
+        index = next_states.dtype.kind in "iu"
+        q_target = (self.target_table().take(next_states, axis=0) if index
+                    else forward_batch(self.target, next_states))
         if self.config.double_dqn:
-            best = forward_batch(self.online, next_states).argmax(axis=1)
-            bootstrap = q_target[rows, best]
+            q_online = (self.online_table()[-1].take(next_states, axis=0)
+                        if index else forward_batch(self.online, next_states))
+            bootstrap = q_target[rows, q_online.argmax(axis=1)]
         else:
             bootstrap = q_target.max(axis=1)
         # rewards + gamma * bootstrap * ~dones, with the same rounding
@@ -61,18 +86,26 @@ class Agent:
             self.config.batch_size, rng
         )
         targets = self._targets(rewards, next_states, dones, self._rows)
-        _, loss = mlp.backward(
-            self.online, states, actions, targets, self.config.kappa,
-            grads=self._grads,
-        )
+        if states.dtype.kind in "iu":
+            acts = [layer.take(states, axis=0)
+                    for layer in (self._one_hot, *self.online_table())]
+            _, loss = mlp.gradients(self.online, acts, actions, targets,
+                                    self.config.kappa, self._grads)
+        else:
+            _, loss = mlp.backward(
+                self.online, states, actions, targets, self.config.kappa,
+                grads=self._grads,
+            )
         if math.isfinite(loss):
             mlp.adam_step(self.online, self._grads, self.optimizer,
                           self.config.learning_rate)
+            self._online_table = None
         return loss
 
     def sync_target(self):
         """target <- deep copy of online."""
         self.target = clone_params(self.online)
+        self._target_q = None
 
 
 def _arrays(agent):

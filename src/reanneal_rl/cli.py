@@ -27,9 +27,17 @@ from .plotting import emit_reward_plot
 _CSV_CHUNK_ROWS = 256   # regret.csv rows formatted per write
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is one error line and exit status 1, like any
+    other bad input, not argparse's usage block and exit status 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
     """Each train flag but --config has the RunConfig field it sets as dest."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reanneal-rl",
         description="DQN training with exploration reannealing",
     )
@@ -162,8 +170,8 @@ def _cmd_eval(args):
 
 
 def cli_main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

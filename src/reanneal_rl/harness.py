@@ -140,8 +140,14 @@ class Trainer:
                                  self.stuck.count, reannealed, mean_loss,
                                  (time.perf_counter() - t_start) * 1e3)
 
+        if self.env.spec.index_observations:
+            # The table row can differ from forward's output in the last
+            # bit; only its argmax is used.
+            q_values = lambda obs: agent.online_table()[-1][obs]  # noqa: E731
+        else:
+            q_values = lambda obs: mlp.forward(agent.online, obs)  # noqa: E731
         act = lambda obs: select_epsilon_greedy(  # noqa: E731
-            mlp.forward(agent.online, obs), schedule, self.rng_policy)
+            q_values(obs), schedule, self.rng_policy)
         for step, exp in enumerate(episode(self.env, act, self.rng_env)):
             self.buffer.push(exp)
             total_reward += exp.reward

@@ -107,15 +107,17 @@ def _is_index(x):
         isinstance(x, np.ndarray) and x.dtype.kind in "iu")
 
 
-def _layers(params, x, acts=None):
-    """The layer loop shared by forward, forward_batch and backward.
+def _layers(params, x, acts=None, start=0):
+    """The layer loop shared by forward, forward_batch, backward and
+    index_table. It runs layers `start`, start + 1, ... on x, the input of
+    layer `start`.
 
-    Works on a 1-D input or a batch of rows (`x @ w.T` is the same gemv as
-    `w @ x` for a 1-D x). Each layer's bias is added and its ReLU applied
-    in place. With `acts`, the input and then the post-activation output of
-    every layer are appended to it.
+    Works on a 1-D input, a batch of rows (`x @ w.T` is the same gemv as
+    `w @ x` for a 1-D x) or a stack of batches. Each layer's bias is added
+    and its ReLU applied in place. With `acts`, the input and then the
+    post-activation output of every layer are appended to it.
 
-    An index observation x (an int, or a 1-D integer array for a batch)
+    An index observation x (an int, or an integer array for a batch)
     stands for the one-hot row with a 1.0 at x. The first layer reads
     column x of its weights, w.T[x], which is that row's x @ w.T bit for
     bit: every other product in it is a zero. For an int x, w.T[x] is a
@@ -128,7 +130,8 @@ def _layers(params, x, acts=None):
     if acts is not None:
         acts.append(x)
     last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for l in range(start, last + 1):
+        w, b = params.weights[l], params.biases[l]
         if index and l == 0:
             x = w.T[x] + b
         else:
@@ -153,8 +156,43 @@ def forward_batch(params, observations):
     return _layers(params, observations)
 
 
+def index_table(params, batch_size):
+    """Every layer's output for every input index: one array per layer,
+    Q-values last, whose row i is that layer's output for index i.
+
+    A matmul's rows depend on its row count, so the rows run in blocks of
+    exactly `batch_size` (zero rows pad the last): at batch sizes 32, 64 and
+    100 each row is forward_batch's row for its index bit for bit, wherever
+    the index sits in the batch (README, "The HoverTrap experiment")."""
+    size = params.layer_sizes[0]
+    blocks = -(-size // batch_size)
+    w, b = params.weights[0], params.biases[0]
+    first = np.zeros((blocks * batch_size, b.size))
+    np.add(w.T, b, out=first[:size])   # w.T[i] + b, _layers' row for index i
+    if len(params.weights) > 1:
+        np.maximum(first, 0.0, out=first)
+    acts = []
+    _layers(params, first.reshape(blocks, batch_size, -1), acts, start=1)
+    return [a.reshape(blocks * batch_size, -1)[:size] for a in acts]
+
+
 def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
-    """Gradients of mean pseudo-Huber TD loss over a batch.
+    """Gradients of mean pseudo-Huber TD loss over a batch: the forward pass,
+    then gradients() over its activations. Returns (gradients, mean_loss)
+    as gradients() does."""
+    acts = []
+    _layers(params, batch_obs, acts)
+    if _is_index(acts[0]):
+        # The first weight gradient multiplies the one-hot rows themselves,
+        # so it sums in the same order as for a one-hot float input.
+        acts[0] = np.eye(params.layer_sizes[0])[acts[0]]
+    return gradients(params, acts, actions, targets, kappa, grads)
+
+
+def gradients(params, acts, actions, targets, kappa=1.0, grads=None):
+    """Gradients of mean pseudo-Huber TD loss over a batch, from the batch's
+    activations `acts` as _layers records them: the input rows (one-hot
+    rows for index observations), then each layer's output, Q-values last.
 
     Loss = (1/B) * sum_i huber(Q(s_i, a_i) - target_i, kappa). Only the
     selected action's output unit receives loss signal per sample. Returns
@@ -165,19 +203,9 @@ def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
     """
     actions = np.asarray(actions, dtype=int)
     targets = np.asarray(targets, dtype=float)
-
-    # Forward pass, keeping the input and post-activation values per layer.
-    acts = []
-    q = _layers(params, batch_obs, acts)
+    q = acts[-1]
     batch = q.shape[0]
     rows = np.arange(batch)
-    if _is_index(acts[0]):
-        # The first weight gradient multiplies the one-hot rows themselves,
-        # so it sums in the same order as for a one-hot float input.
-        onehot = np.zeros((batch, params.layer_sizes[0]))
-        onehot[rows, acts[0]] = 1.0
-        acts[0] = onehot
-
     delta = q[rows, actions] - targets
     root = np.sqrt(1.0 + (delta / kappa) ** 2)
     # sum()/batch is bitwise equal to np.mean, with less call overhead.

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+SAMPLE_BLOCK = 32   # batches of indices drawn per call once the memory is full
+
 
 class ReplayBuffer:
     def __init__(self, capacity, obs_size, index_observations=False):
@@ -30,6 +32,8 @@ class ReplayBuffer:
         self._dones = np.zeros(self.capacity, dtype=bool)
         self._size = 0
         self._next = 0
+        self._drawn = iter(())   # index batches drawn ahead, and by which rng
+        self._drawn_rng = None
 
     def __len__(self):
         return self._size
@@ -65,8 +69,22 @@ class ReplayBuffer:
 
     def sample_arrays(self, batch_size, rng):
         """Uniform sample with replacement, deterministic per rng state, as
-        stacked arrays (states, actions, rewards, next_states, dones)."""
-        idx = rng.integers(0, self._size, size=batch_size)
+        stacked arrays (states, actions, rewards, next_states, dones).
+
+        A full memory keeps its size, so there one rng.integers call draws
+        the next SAMPLE_BLOCK batches: the indices, and the generator state
+        after the last, of SAMPLE_BLOCK calls, with one call's fixed cost.
+        `rng` runs up to SAMPLE_BLOCK - 1 batches ahead of the batches
+        returned; a call with another rng or batch size draws afresh."""
+        if self._size < self.capacity:
+            idx = rng.integers(0, self._size, size=batch_size)
+        else:
+            idx = next(self._drawn, None) if rng is self._drawn_rng else None
+            if idx is None or idx.size != batch_size:
+                self._drawn = iter(rng.integers(
+                    0, self._size, size=(SAMPLE_BLOCK, batch_size)))
+                self._drawn_rng = rng
+                idx = next(self._drawn)
         return (
             self._states.take(idx, axis=0),
             self._actions.take(idx),

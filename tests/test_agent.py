@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from reanneal_rl import agent as agent_module
 from reanneal_rl import mlp
 from reanneal_rl.agent import Agent, AgentConfig, load_checkpoint, save_checkpoint
-from reanneal_rl.envs import Experience
+from reanneal_rl.config import default_config
+from reanneal_rl.envs import Experience, make_env
+from reanneal_rl.harness import Trainer
 from reanneal_rl.mlp import forward, forward_batch
 from reanneal_rl.replay import ReplayBuffer
 
@@ -371,6 +375,97 @@ class TestCheckpoint:
         save_checkpoint(agent, prefix, 0, "hovertrap")
         loaded, _ = load_checkpoint(prefix + ".meta")
         assert loaded.config.batch_size == agent.config.batch_size
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+def index_buffer(seed=1, pushes=200):
+    """Index transitions over HoverTrap's 85 states and 2 actions, some of
+    them terminal."""
+    rng = np.random.default_rng(seed)
+    buf = ReplayBuffer(300, 85, index_observations=True)
+    for _ in range(pushes):
+        buf.push(Experience(int(rng.integers(85)), int(rng.integers(2)),
+                            float(rng.normal()), int(rng.integers(85)),
+                            bool(rng.random() < 0.1)))
+    return buf
+
+
+def check_next_step(agent, buf, rng):
+    """Run one train step on index observations and check, bit for bit,
+    the Q-values and targets it uses against forward_batch on the weights
+    it starts from; first read the online table, as action selection
+    does."""
+    size = agent.config.batch_size
+    assert bits(agent.online_table()[-1]) == bits(
+        mlp.index_table(agent.online, size)[-1])
+    batches, checked = [], []
+    sample, gradients = buf.sample_arrays, mlp.gradients
+
+    def spy(params, acts, actions, targets, kappa, grads):
+        states, _, rewards, next_states, dones = batches[-1]
+        q_target = forward_batch(agent.target, next_states)
+        if agent.config.double_dqn:
+            best = forward_batch(agent.online, next_states).argmax(axis=1)
+            bootstrap = q_target[np.arange(size), best]
+        else:
+            bootstrap = q_target.max(axis=1)
+        bootstrap *= agent.config.gamma
+        bootstrap *= ~dones
+        bootstrap += rewards
+        assert bits(targets) == bits(bootstrap)
+        assert bits(acts[-1]) == bits(forward_batch(agent.online, states))
+        checked.append(True)
+        return gradients(params, acts, actions, targets, kappa, grads)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(buf, "sample_arrays",
+                      lambda *args: batches.append(sample(*args)) or batches[-1])
+        patch.setattr(mlp, "gradients", spy)
+        loss = agent.train_step(buf, rng)
+    assert checked and math.isfinite(loss)
+
+
+class TestStateTables:
+    @pytest.mark.parametrize("double_dqn", [True, False])
+    def test_no_stale_table_after_any_weight_write(self, tmp_path, double_dqn):
+        """Adam steps, a target sync and a checkpoint load each change the
+        weights; the next train step must see the new ones."""
+        config = AgentConfig(batch_size=64, min_replay_before_training=64,
+                             double_dqn=double_dqn)
+        agent = Agent(config, (85, 32, 2), np.random.default_rng(0))
+        buf, rng = index_buffer(), np.random.default_rng(2)
+        for _ in range(3):  # the first step, then after Adam steps
+            check_next_step(agent, buf, rng)
+        agent.sync_target()
+        check_next_step(agent, buf, rng)
+        check_next_step(agent, buf, rng)
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(agent, prefix, 0, "hovertrap")
+        loaded, _ = load_checkpoint(prefix)
+        assert not np.array_equal(loaded.target.flat, loaded.online.flat)
+        check_next_step(loaded, buf, rng)
+        check_next_step(loaded, buf, rng)
+
+    def test_one_online_table_per_step_and_one_target_table_per_sync(
+            self, monkeypatch):
+        """A HoverTrap run builds the online table once per env step and
+        the target table once per sync (and once at the start), and runs no
+        forward or backward pass."""
+        config = replace(default_config("hovertrap"), decay_rate=0.9)
+        trainer = Trainer(config, make_env("hovertrap"))
+        built = []
+        table = mlp.index_table
+        monkeypatch.setattr(mlp, "index_table", lambda params, size: (
+            built.append(params is trainer.agent.target) or table(params, size)))
+        for module in (mlp, agent_module):
+            for name in ("forward", "forward_batch", "backward"):
+                monkeypatch.setattr(module, name, None, raising=False)
+        steps = sum(trainer.run_episode().step_count for _ in range(25))
+        assert built.count(False) == steps
+        assert built.count(True) == 2   # the first step, and after the sync
 
 
 def test_config_validation():

@@ -333,15 +333,39 @@ class TestCli:
         assert code == 1
         assert "Not a directory" in one_error(capsys)
 
-    def test_unknown_subcommand_exits_2(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["frobnicate"])
-        assert excinfo.value.code == 2
+    def test_unknown_subcommand_reports_one_error(self, capsys):
+        assert cli_main(["frobnicate"]) == 1
+        assert "invalid choice: 'frobnicate'" in one_error(capsys)
 
-    def test_unknown_flag_exits_2(self):
+    def test_unknown_flag_reports_one_error(self, capsys):
+        assert cli_main(["train", "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in one_error(capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["eval", "--checkpoint", "x", "--seed", "1.5"],
+         "argument --seed: invalid int value: '1.5'"),
+        (["bandit", "--horizon", "1e3"],
+         "argument --horizon: invalid int value: '1e3'"),
+        (["eval"], "the following arguments are required: --checkpoint"),
+        (["plot", "--metrics", "m.csv"],
+         "the following arguments are required: --out"),
+    ], ids=["train-seed-abc", "eval-seed-1.5", "bandit-horizon-1e3",
+            "eval-no-checkpoint", "plot-no-out"])
+    def test_bad_flag_reports_one_error(self, tmp_path, capsys, monkeypatch,
+                                        argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 1
+        error = one_error(capsys)
+        assert error.startswith(f"error: reanneal-rl {argv[0]}: ")
+        assert error.endswith(message)
+        assert os.listdir(tmp_path) == []
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["train", "--bogus"])
-        assert excinfo.value.code == 2
+            cli_main(["train", "--help"])
+        assert excinfo.value.code == 0
+        assert "--decay-rate" in capsys.readouterr().out
 
     def test_missing_checkpoint_reports_error(self, capsys):
         code = cli_main(["eval", "--checkpoint", "/nonexistent/ckpt"])

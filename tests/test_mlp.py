@@ -397,6 +397,47 @@ def test_index_input_is_bitwise_the_one_hot_input(case):
     assert bits(p.flat) == weights
 
 
+@st.composite
+def net_and_state_batches(draw):
+    """A network of one of the three shapes with normal weights and biases
+    (so ReLUs cut in every hidden layer), a batch size, and batches of that
+    size that hold every input index once, in a drawn order, padded with
+    drawn repeats; plus actions and targets for each batch."""
+    sizes = draw(st.sampled_from([(85, 2), (85, 32, 2), (85, 16, 8, 2)]))
+    batch = draw(st.sampled_from([32, 64, 100]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = NetworkParams(sizes, flat=rng.normal(size=mlp.param_count(sizes)))
+    order = draw(st.permutations(range(sizes[0])))
+    pad = draw(st.lists(st.integers(0, sizes[0] - 1), min_size=-sizes[0] % batch,
+                        max_size=-sizes[0] % batch))
+    batches = np.array(order + pad).reshape(-1, batch)
+    actions = rng.integers(0, sizes[-1], size=batches.shape)
+    targets = rng.normal(size=batches.shape)
+    return params, batch, batches, actions, targets
+
+
+@settings(max_examples=100, deadline=None)
+@given(net_and_state_batches())
+def test_index_table_rows_are_forward_batch_rows_bitwise(case):
+    """Every row of the table equals, bit for bit, forward_batch's row for
+    its index, wherever the index sits in a batch of the table's batch size;
+    and the gradient pass over gathered table rows is backward's."""
+    params, batch, batches, actions, targets = case
+    weights = bits(params.flat)
+    table = mlp.index_table(params, batch)
+    assert [layer.shape for layer in table] == [
+        (params.layer_sizes[0], n) for n in params.layer_sizes[1:]]
+    one_hot = np.eye(params.layer_sizes[0])
+    for index, action, target in zip(batches, actions, targets):
+        assert bits(table[-1][index]) == bits(forward_batch(params, index))
+        acts = [one_hot[index], *(layer[index] for layer in table)]
+        grads, loss = mlp.gradients(params, acts, action, target)
+        expected, expected_loss = backward(params, index, action, target)
+        assert bits(grads.flat) == bits(expected.flat)
+        assert bits(loss) == bits(expected_loss)
+    assert bits(params.flat) == weights
+
+
 class TestNetworkParams:
     def test_views_share_a_given_flat_buffer(self):
         flat = np.arange(6.0)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from reanneal_rl.envs import Experience
-from reanneal_rl.replay import ReplayBuffer
+from reanneal_rl.replay import SAMPLE_BLOCK, ReplayBuffer
 
 
 def experience_at(buf, i):
@@ -240,3 +240,54 @@ class TestIndexObservations:
         buf = ReplayBuffer(4, INDEX_OBS_SIZE, index_observations=True)
         with pytest.raises(ValueError, match="non-finite"):
             buf.push(Experience(0, 1, float("nan"), 3, False))
+
+
+class TestBlockDraws:
+    """A full memory draws SAMPLE_BLOCK batches of indices per call, which
+    must give the numbers of one call per batch."""
+
+    @pytest.mark.parametrize("n", [500, 2**31 + 1])
+    def test_one_block_draw_equals_one_draw_per_batch(self, n):
+        # At n = 2**31 + 1 about half of the 32-bit draws are rejected.
+        block, twin = np.random.default_rng(7), np.random.default_rng(7)
+        drawn = block.integers(0, n, size=(SAMPLE_BLOCK, 64))
+        for row in drawn:
+            assert np.array_equal(row, twin.integers(0, n, size=64))
+        assert block.bit_generator.state == twin.bit_generator.state
+
+    def test_samples_match_one_draw_per_batch_from_a_twin(self):
+        """Pushes and samples interleave as in training, past the point
+        where the memory fills: each batch holds the rows that one draw per
+        batch from a twin generator names, and the two generators agree
+        after every SAMPLE_BLOCK-th batch on the full memory."""
+        capacity, batch = 50, 8
+        buf = ReplayBuffer(capacity, obs_size=4)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        full_batches = 0
+        for tag in range(capacity + 3 * SAMPLE_BLOCK):
+            buf.push(make_exp(tag))
+            idx = twin.integers(0, len(buf), size=batch)
+            states, actions, rewards, next_states, dones = buf.sample_arrays(
+                batch, rng)
+            assert np.array_equal(rewards, buf._rewards[idx])
+            assert np.array_equal(states, buf._states[idx])
+            assert np.array_equal(next_states, buf._next_states[idx])
+            if len(buf) == capacity:
+                full_batches += 1
+                if full_batches % SAMPLE_BLOCK == 0:
+                    assert rng.bit_generator.state == twin.bit_generator.state
+        assert full_batches == 3 * SAMPLE_BLOCK + 1
+
+    def test_another_rng_or_batch_size_draws_afresh(self):
+        buf = ReplayBuffer(capacity=10, obs_size=4)
+        for tag in range(10):
+            buf.push(make_exp(tag))
+        first = buf.sample_arrays(6, np.random.default_rng(42))[2]
+        again = buf.sample_arrays(6, np.random.default_rng(42))[2]
+        assert np.array_equal(first, again)
+        rng = np.random.default_rng(5)
+        buf.sample_arrays(6, rng)
+        twin = np.random.default_rng(5)
+        twin.integers(0, 10, size=(SAMPLE_BLOCK, 6))
+        idx = twin.integers(0, 10, size=4)
+        assert np.array_equal(buf.sample_arrays(4, rng)[2], buf._rewards[idx])

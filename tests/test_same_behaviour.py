@@ -27,6 +27,8 @@ def test_checkout_matches_itself():
     assert "same    bandit/regret.csv" in lines
     assert "same    hovertrap_tabular/final.online.net" in lines
     assert "same    hovertrap_tabular eval stdout" in lines
+    assert "same    hovertrap_hover_2000/metrics.csv" in lines
+    assert "same    hovertrap_hover_2000 eval stdout" in lines
 
 
 def test_changed_learning_rate_is_reported(tmp_path):

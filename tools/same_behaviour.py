@@ -5,14 +5,16 @@
 In PARENT_DIR and in the checkout that holds this script, it runs the three
 golden `train` commands of tests/test_golden_trace.py, a fourth from the
 checkout's experiments/configs/hovertrap-tabular.cfg (the (85, 2) network,
-a Q-table; both trees read the same file), `eval --episodes 5` on each run's
-final checkpoint and `bandit --horizon 2000 --seeds 3`, with one BLAS thread
-on both sides. Then it compares every file the commands wrote: metrics.csv
+a Q-table; both trees read the same file), a fifth that is the 2000-episode
+hovering arm of criterion 6 at seed 0 (a last-bit change in the Q-values
+that pick actions could show only in a long run), `eval --episodes 5` on
+each run's final checkpoint and `bandit --horizon 2000 --seeds 3`, with one
+BLAS thread on both sides. Then it compares every file the commands wrote: metrics.csv
 without its wall-time column, manifest.cfg without output_dir, and every
 other file (rewards.svg, final.*, regret.csv) byte for byte; and each
 command's exit status and stdout, with the output paths removed. It prints
 one line per file and per command, and exits 1 on any difference or failed
-command. `--episodes N` shortens the four training runs.
+command. `--episodes N` shortens the five training runs.
 
 Standard library only; each tree's `src/` is put on PYTHONPATH in turn.
 """
@@ -37,6 +39,9 @@ TRAIN_RUNS = {
     "lander": ["--env", "lander", "--episodes", "20", "--seed", "3"],
     "hovertrap_tabular": ["--config", str(TABULAR_CONFIG), "--decay-rate",
                           "0.9", "--episodes", "150", "--seed", "0"],
+    "hovertrap_hover_2000": ["--env", "hovertrap", "--decay-rate", "0.9",
+                             "--episodes", "2000", "--seed", "0",
+                             "--no-reanneal"],
 }
 BANDIT = ["bandit", "--horizon", "2000", "--seeds", "3"]
 ONE_BLAS_THREAD = {name: "1" for name in (
