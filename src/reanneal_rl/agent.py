@@ -17,7 +17,7 @@ class Agent:
     """Online network from a He-uniform init drawn from `rng`, its target
     copy and zero Adam moments (load_checkpoint reads saved values into
     these buffers), plus the per-step workspaces: a gradient buffer that
-    backward fills in place, and the batch row index.
+    mlp.gradients fills in place, and the batch row index.
 
     On index observations the agent reads rows of per-state tables
     (mlp.index_table) instead of running forward passes. The online table
@@ -35,9 +35,19 @@ class Agent:
         self._online_table = None
         self._target_q = None
 
+    def q_values(self, observation):
+        """Online Q-values for one observation: for an index (an int), its
+        row of the online table; for a dense row, forward's output. The
+        table row can differ from forward's on the one-hot row in the last
+        bit. The table holds while the weights change only through
+        train_step, sync_target and load_checkpoint."""
+        if isinstance(observation, (int, np.integer)):
+            return self.online_table()[-1][observation]
+        return forward(self.online, observation)
+
     def greedy_action(self, observation):
         """Argmax over online Q-values, lowest index on ties."""
-        return int(np.argmax(forward(self.online, observation)))
+        return int(np.argmax(self.q_values(observation)))
 
     def online_table(self):
         """The online network's per-state activations, Q-values last."""
@@ -168,8 +178,12 @@ def load_checkpoint(prefix):
     if meta["env"] not in ENVS:
         raise ValueError(f"{path}: env must be one of {', '.join(ENVS)}, "
                          f"got {meta['env']!r}")
-    config = AgentConfig(**parse_fields(
-        AgentConfig, {k: v for k, v in meta.items() if k not in own_keys}, path))
+    values = parse_fields(
+        AgentConfig, {k: v for k, v in meta.items() if k not in own_keys}, path)
+    try:
+        config = AgentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     try:  # the init draw is overwritten by the saved arrays
         sizes = tuple(int(n) for n in meta["layer_sizes"].split(","))
         agent = Agent(config, sizes, np.random.default_rng(0))

@@ -9,6 +9,7 @@ for the run manifest written next to the metrics of every training run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .envs import ENVS
@@ -41,12 +42,11 @@ class AgentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.target_sync_period_episodes < 1:
             raise ValueError("target_sync_period_episodes must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        for name in ("learning_rate", "kappa"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         if self.min_replay_before_training < 0:
             raise ValueError("min_replay_before_training must be >= 0, got "
                              f"{self.min_replay_before_training}")
@@ -151,7 +151,8 @@ def parse_fields(cls, values, source):
 
 def load_config(path):
     """Read a config file over the defaults of its environment. Values are
-    applied with dataclasses.replace, so every field is validated."""
+    applied with dataclasses.replace, so every field is validated; every
+    error names the file."""
     # No default section, so [DEFAULT] is an unknown section, not shared keys.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
@@ -167,13 +168,13 @@ def load_config(path):
                          "expected [run] and [agent]")
     sections = {name: dict(parser.items(name)) if parser.has_section(name)
                 else {} for name in ("run", "agent")}
-    try:
-        config = default_config(sections["run"].pop("env", "lander"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     run = parse_fields(RunConfig, sections["run"], path)
     agent = parse_fields(AgentConfig, sections["agent"], path)
-    return replace(config, agent=replace(config.agent, **agent), **run)
+    try:  # an unknown env or a value out of range
+        config = default_config(run.pop("env", "lander"))
+        return replace(config, agent=replace(config.agent, **agent), **run)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(config, path):

@@ -14,9 +14,9 @@ the trap that exploration reannealing is meant to escape.
 
 States are (altitude, velocity) pairs. The observation is the state's index
 `altitude * (MAX_VELOCITY + 1) + velocity`, an int in [0, OBS_SIZE), and the
-spec marks it as an index: the network reads it as the one-hot row with a 1.0
-at that index, so the MLP agent used for the lander runs unchanged, and its
-first layer picks the weight column instead of multiplying a row of zeros.
+spec marks it as an index: the agent reads the network's output for the
+one-hot row with a 1.0 at that index from a per-state table (mlp.index_table),
+so the MLP agent used for the lander runs unchanged.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import agent as agent_mod
-from . import mlp
 from .agent import Agent
 from .config import parse_fields, save_config
 from .envs import episode, make_env
@@ -140,14 +139,8 @@ class Trainer:
                                  self.stuck.count, reannealed, mean_loss,
                                  (time.perf_counter() - t_start) * 1e3)
 
-        if self.env.spec.index_observations:
-            # The table row can differ from forward's output in the last
-            # bit; only its argmax is used.
-            q_values = lambda obs: agent.online_table()[-1][obs]  # noqa: E731
-        else:
-            q_values = lambda obs: mlp.forward(agent.online, obs)  # noqa: E731
         act = lambda obs: select_epsilon_greedy(  # noqa: E731
-            q_values(obs), schedule, self.rng_policy)
+            agent.q_values(obs), schedule, self.rng_policy)
         for step, exp in enumerate(episode(self.env, act, self.rng_env)):
             self.buffer.push(exp)
             total_reward += exp.reward

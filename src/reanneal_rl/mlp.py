@@ -101,42 +101,23 @@ def init_adam_state(params):
                      v=NetworkParams(params.layer_sizes))
 
 
-def _is_index(x):
-    """An int or an integer array is an index observation (see _layers)."""
-    return isinstance(x, (int, np.integer)) or (
-        isinstance(x, np.ndarray) and x.dtype.kind in "iu")
-
-
 def _layers(params, x, acts=None, start=0):
     """The layer loop shared by forward, forward_batch, backward and
     index_table. It runs layers `start`, start + 1, ... on x, the input of
-    layer `start`.
+    layer `start`, read as float64.
 
     Works on a 1-D input, a batch of rows (`x @ w.T` is the same gemv as
     `w @ x` for a 1-D x) or a stack of batches. Each layer's bias is added
     and its ReLU applied in place. With `acts`, the input and then the
     post-activation output of every layer are appended to it.
-
-    An index observation x (an int, or an integer array for a batch)
-    stands for the one-hot row with a 1.0 at x. The first layer reads
-    column x of its weights, w.T[x], which is that row's x @ w.T bit for
-    bit: every other product in it is a zero. For an int x, w.T[x] is a
-    view of the weights, so its bias add must not be in place. Any other
-    x is read as float64.
     """
-    index = _is_index(x)
-    if not index:
-        x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     if acts is not None:
         acts.append(x)
     last = len(params.weights) - 1
     for l in range(start, last + 1):
-        w, b = params.weights[l], params.biases[l]
-        if index and l == 0:
-            x = w.T[x] + b
-        else:
-            x = x @ w.T
-            x += b
+        x = x @ params.weights[l].T
+        x += params.biases[l]
         if l < last:
             np.maximum(x, 0.0, out=x)
         if acts is not None:
@@ -145,20 +126,20 @@ def _layers(params, x, acts=None, start=0):
 
 
 def forward(params, observation):
-    """Q-values for a single observation (1-D input or an index, 1-D
-    output)."""
+    """Q-values for a single observation (1-D input, 1-D output)."""
     return _layers(params, observation)
 
 
 def forward_batch(params, observations):
-    """Row-wise Q-values for a batch of observations (B x in, or B
-    indices, -> B x out)."""
+    """Row-wise Q-values for a batch of observations (B x in -> B x out)."""
     return _layers(params, observations)
 
 
 def index_table(params, batch_size):
     """Every layer's output for every input index: one array per layer,
-    Q-values last, whose row i is that layer's output for index i.
+    Q-values last, whose row i is that layer's output for the one-hot row
+    with a 1.0 at i. The first layer reads column i of its weights, w.T[i],
+    which is that row's product bit for bit: every other term is a zero.
 
     A matmul's rows depend on its row count, so the rows run in blocks of
     exactly `batch_size` (zero rows pad the last): at batch sizes 32, 64 and
@@ -168,7 +149,7 @@ def index_table(params, batch_size):
     blocks = -(-size // batch_size)
     w, b = params.weights[0], params.biases[0]
     first = np.zeros((blocks * batch_size, b.size))
-    np.add(w.T, b, out=first[:size])   # w.T[i] + b, _layers' row for index i
+    np.add(w.T, b, out=first[:size])
     if len(params.weights) > 1:
         np.maximum(first, 0.0, out=first)
     acts = []
@@ -182,17 +163,13 @@ def backward(params, batch_obs, actions, targets, kappa=1.0, grads=None):
     as gradients() does."""
     acts = []
     _layers(params, batch_obs, acts)
-    if _is_index(acts[0]):
-        # The first weight gradient multiplies the one-hot rows themselves,
-        # so it sums in the same order as for a one-hot float input.
-        acts[0] = np.eye(params.layer_sizes[0])[acts[0]]
     return gradients(params, acts, actions, targets, kappa, grads)
 
 
 def gradients(params, acts, actions, targets, kappa=1.0, grads=None):
     """Gradients of mean pseudo-Huber TD loss over a batch, from the batch's
-    activations `acts` as _layers records them: the input rows (one-hot
-    rows for index observations), then each layer's output, Q-values last.
+    activations `acts` as _layers records them: the input rows, then each
+    layer's output, Q-values last.
 
     Loss = (1/B) * sum_i huber(Q(s_i, a_i) - target_i, kappa). Only the
     selected action's output unit receives loss signal per sample. Returns

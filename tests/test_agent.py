@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reanneal_rl import agent as agent_module
 from reanneal_rl import mlp
 from reanneal_rl.agent import Agent, AgentConfig, load_checkpoint, save_checkpoint
 from reanneal_rl.config import default_config
 from reanneal_rl.envs import Experience, make_env
-from reanneal_rl.harness import Trainer
+from reanneal_rl.harness import Trainer, evaluate_greedy
 from reanneal_rl.mlp import forward, forward_batch
 from reanneal_rl.replay import ReplayBuffer
 
@@ -394,21 +397,25 @@ def index_buffer(seed=1, pushes=200):
 
 
 def check_next_step(agent, buf, rng):
-    """Run one train step on index observations and check, bit for bit,
-    the Q-values and targets it uses against forward_batch on the weights
-    it starts from; first read the online table, as action selection
-    does."""
+    """Check the greedy action of every state against a freshly built
+    table, then run one train step on index observations and check, bit
+    for bit, the Q-values and targets it uses against forward_batch on the
+    one-hot rows and the weights it starts from."""
     size = agent.config.batch_size
-    assert bits(agent.online_table()[-1]) == bits(
-        mlp.index_table(agent.online, size)[-1])
+    fresh = mlp.index_table(agent.online, size)[-1]
+    for s in range(85):
+        assert bits(agent.q_values(s)) == bits(fresh[s])
+        assert agent.greedy_action(s) == fresh[s].argmax()
+    one_hot = np.eye(85)
     batches, checked = [], []
     sample, gradients = buf.sample_arrays, mlp.gradients
 
     def spy(params, acts, actions, targets, kappa, grads):
         states, _, rewards, next_states, dones = batches[-1]
-        q_target = forward_batch(agent.target, next_states)
+        q_target = forward_batch(agent.target, one_hot[next_states])
         if agent.config.double_dqn:
-            best = forward_batch(agent.online, next_states).argmax(axis=1)
+            best = forward_batch(agent.online,
+                                 one_hot[next_states]).argmax(axis=1)
             bootstrap = q_target[np.arange(size), best]
         else:
             bootstrap = q_target.max(axis=1)
@@ -416,7 +423,8 @@ def check_next_step(agent, buf, rng):
         bootstrap *= ~dones
         bootstrap += rewards
         assert bits(targets) == bits(bootstrap)
-        assert bits(acts[-1]) == bits(forward_batch(agent.online, states))
+        assert bits(acts[-1]) == bits(forward_batch(agent.online,
+                                                    one_hot[states]))
         checked.append(True)
         return gradients(params, acts, actions, targets, kappa, grads)
 
@@ -432,7 +440,8 @@ class TestStateTables:
     @pytest.mark.parametrize("double_dqn", [True, False])
     def test_no_stale_table_after_any_weight_write(self, tmp_path, double_dqn):
         """Adam steps, a target sync and a checkpoint load each change the
-        weights; the next train step must see the new ones."""
+        weights; the next greedy action and train step must see the new
+        ones."""
         config = AgentConfig(batch_size=64, min_replay_before_training=64,
                              double_dqn=double_dqn)
         agent = Agent(config, (85, 32, 2), np.random.default_rng(0))
@@ -467,6 +476,50 @@ class TestStateTables:
         assert built.count(False) == steps
         assert built.count(True) == 2   # the first step, and after the sync
 
+    def test_greedy_rollout_builds_one_table_and_runs_no_forward(
+            self, monkeypatch):
+        """A greedy HoverTrap rollout of a trained agent reads every action
+        from one online table, built once, and never calls forward."""
+        config = replace(default_config("hovertrap"), decay_rate=0.9)
+        trainer = Trainer(config, make_env("hovertrap"))
+        for _ in range(5):
+            trainer.run_episode()
+        built, forwards = [], []
+        table, dense = mlp.index_table, mlp.forward
+        monkeypatch.setattr(mlp, "index_table", lambda params, size: (
+            built.append(params) or table(params, size)))
+        for module in (mlp, agent_module):
+            monkeypatch.setattr(module, "forward", lambda params, obs: (
+                forwards.append(obs) or dense(params, obs)))
+        returns = evaluate_greedy(trainer.agent, make_env("hovertrap"), 3,
+                                  np.random.default_rng(0))
+        assert len(returns) == 3
+        assert len(built) == 1 and built[0] is trainer.agent.online
+        assert forwards == []
+
+
+def tabular_weights():
+    """Weights and biases of the (85, 2) network, a Q-table. `v + 0.0`
+    turns a drawn -0.0 into +0.0, which training never makes (x - x rounds
+    to +0.0) and whose sign a one-hot dot product would not keep."""
+    finite = st.floats(-1e3, 1e3).map(lambda v: v + 0.0)
+    return arrays(np.float64, mlp.param_count((85, 2)), elements=finite)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tabular_weights(), st.sampled_from([32, 64, 100]))
+def test_tabular_q_values_are_forward_on_the_one_hot_row(flat, batch_size):
+    """With no hidden layer the table row of an index is, bit for bit,
+    forward's output for its one-hot row."""
+    config = AgentConfig(batch_size=batch_size,
+                         min_replay_before_training=batch_size)
+    agent = Agent(config, (85, 2), np.random.default_rng(0))
+    agent.online.flat[:] = flat
+    one_hot = np.eye(85)
+    for s in range(85):
+        assert bits(agent.q_values(s)) == bits(forward(agent.online,
+                                                       one_hot[s]))
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -479,3 +532,8 @@ def test_config_validation():
         AgentConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         AgentConfig(kappa=-1.0)
+    for name in ("learning_rate", "kappa"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be positive "
+                               "and finite"):
+                AgentConfig(**{name: value})

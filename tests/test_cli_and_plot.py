@@ -526,6 +526,8 @@ MALFORMED = {
     "line-without-equals": ("final.meta", lambda blob: blob + b"garbage line\n"),
     "unknown-key": ("final.meta", lambda blob: blob + b"gama=0.5\n"),
     "repeated-key": ("final.meta", lambda blob: blob + b"gamma=0.9\n"),
+    "gamma-out-of-range": ("final.meta", set_meta(b"gamma", b"gamma=1.5\n")),
+    "kappa-inf": ("final.meta", set_meta(b"kappa", b"kappa=inf\n")),
 }
 
 
@@ -555,6 +557,10 @@ MALFORMED_CONFIG = {
     # configparser would copy these keys into [run] and [agent].
     "default-section": ("[DEFAULT]\nseed = 3\n[run]\nenv = hovertrap\n",
                         "unknown section(s) [DEFAULT]"),
+    "gamma-out-of-range": ("[run]\nenv = hovertrap\n[agent]\ngamma = 1.5\n",
+                           "gamma must be in [0, 1), got 1.5"),
+    "learning-rate-inf": ("[agent]\nlearning_rate = inf\n",
+                          "learning_rate must be positive and finite"),
 }
 
 

@@ -353,48 +353,8 @@ class TestLeanPathsEquivalence:
         assert not np.array_equal(g1.flat, g2.flat)
 
 
-@st.composite
-def net_and_index_batch(draw):
-    """A network of random sizes and finite weights, and a batch of index
-    observations with repeats. `v + 0.0` turns a drawn -0.0 into +0.0: the
-    one-hot dot product sums a -0.0 weight with +0.0 products into +0.0, so
-    only there would the signs of the zeros differ, and training never makes
-    a -0.0 weight (x - x rounds to +0.0)."""
-    sizes = tuple(draw(st.lists(st.integers(1, 8), min_size=2, max_size=4)))
-    finite = st.floats(-100, 100).map(lambda v: v + 0.0)
-    flat = draw(arrays(np.float64, mlp.param_count(sizes), elements=finite))
-    batch = draw(st.integers(1, 12))
-    index = draw(arrays(np.int64, batch, elements=st.integers(0, sizes[0] - 1)))
-    actions = draw(arrays(np.int64, batch,
-                          elements=st.integers(0, sizes[-1] - 1)))
-    targets = draw(arrays(np.float64, batch, elements=finite))
-    kappa = draw(st.floats(0.1, 10))
-    return NetworkParams(sizes, flat=flat), index, actions, targets, kappa
-
-
 def bits(a):
     return np.asarray(a).tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(net_and_index_batch())
-def test_index_input_is_bitwise_the_one_hot_input(case):
-    """forward, forward_batch and backward on index observations give bit
-    for bit what they give on the matching one-hot float rows, and leave
-    the weights as they were."""
-    p, index, actions, targets, kappa = case
-    weights = bits(p.flat)
-    onehot = np.eye(p.layer_sizes[0])[index]
-    for k, row in zip(index, onehot):
-        dense = bits(forward(p, row))
-        assert bits(forward(p, int(k))) == dense
-        assert bits(forward(p, k)) == dense
-    assert bits(forward_batch(p, index)) == bits(forward_batch(p, onehot))
-    grads_index, loss_index = backward(p, index, actions, targets, kappa)
-    grads_dense, loss_dense = backward(p, onehot, actions, targets, kappa)
-    assert bits(grads_index.flat) == bits(grads_dense.flat)
-    assert bits(loss_index) == bits(loss_dense)
-    assert bits(p.flat) == weights
 
 
 @st.composite
@@ -420,8 +380,9 @@ def net_and_state_batches(draw):
 @given(net_and_state_batches())
 def test_index_table_rows_are_forward_batch_rows_bitwise(case):
     """Every row of the table equals, bit for bit, forward_batch's row for
-    its index, wherever the index sits in a batch of the table's batch size;
-    and the gradient pass over gathered table rows is backward's."""
+    the one-hot row of its index, wherever that row sits in a batch of the
+    table's batch size; and the gradient pass over gathered table rows is
+    backward's on the one-hot rows."""
     params, batch, batches, actions, targets = case
     weights = bits(params.flat)
     table = mlp.index_table(params, batch)
@@ -429,10 +390,11 @@ def test_index_table_rows_are_forward_batch_rows_bitwise(case):
         (params.layer_sizes[0], n) for n in params.layer_sizes[1:]]
     one_hot = np.eye(params.layer_sizes[0])
     for index, action, target in zip(batches, actions, targets):
-        assert bits(table[-1][index]) == bits(forward_batch(params, index))
-        acts = [one_hot[index], *(layer[index] for layer in table)]
+        rows = one_hot[index]
+        assert bits(table[-1][index]) == bits(forward_batch(params, rows))
+        acts = [rows, *(layer[index] for layer in table)]
         grads, loss = mlp.gradients(params, acts, action, target)
-        expected, expected_loss = backward(params, index, action, target)
+        expected, expected_loss = backward(params, rows, action, target)
         assert bits(grads.flat) == bits(expected.flat)
         assert bits(loss) == bits(expected_loss)
     assert bits(params.flat) == weights

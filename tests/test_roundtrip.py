@@ -18,11 +18,13 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 agent_configs = st.builds(
     AgentConfig,
     gamma=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    learning_rate=st.floats(min_value=0.0, exclude_min=True),
+    learning_rate=st.floats(min_value=0.0, exclude_min=True,
+                            allow_infinity=False),
     batch_size=st.integers(1, 512),
     target_sync_period_episodes=st.integers(1, 10**6),
     double_dqn=st.booleans(),
-    kappa=st.floats(min_value=0.0, exclude_min=True),
+    kappa=st.floats(min_value=0.0, exclude_min=True,
+                    allow_infinity=False),
     min_replay_before_training=st.integers(0, 10**9),
 )
 
