@@ -10,7 +10,7 @@ import numpy as np
 from . import mlp
 from .config import AgentConfig, parse_fields
 from .envs import ENVS
-from .mlp import clone_params, forward, forward_batch
+from .mlp import clone_params, forward
 
 
 class Agent:
@@ -73,10 +73,10 @@ class Agent:
         """
         index = next_states.dtype.kind in "iu"
         q_target = (self.target_table().take(next_states, axis=0) if index
-                    else forward_batch(self.target, next_states))
+                    else forward(self.target, next_states))
         if self.config.double_dqn:
             q_online = (self.online_table()[-1].take(next_states, axis=0)
-                        if index else forward_batch(self.online, next_states))
+                        if index else forward(self.online, next_states))
             bootstrap = q_target[rows, q_online.argmax(axis=1)]
         else:
             bootstrap = q_target.max(axis=1)

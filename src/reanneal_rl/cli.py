@@ -119,7 +119,6 @@ def _cmd_bandit(args):
     spec = bandit_mod.BanditSpec(
         arm_means=[0.0, 1.0], noise_std=0.1, horizon=args.horizon
     )
-    os.makedirs(args.out, exist_ok=True)  # fail before, not after, the runs
     strategies = [
         ("regret_greedy", bandit_mod.Greedy()),
         ("regret_const", bandit_mod.ConstantEps(0.1)),
@@ -129,6 +128,7 @@ def _cmd_bandit(args):
             for _, strategy in strategies for seed in range(args.seeds)]
     # Runs arrive in job order, so each strategy's runs sum in seed order.
     totals = [np.zeros(args.horizon) for _ in strategies]
+    os.makedirs(args.out, exist_ok=True)  # fail before, not after, the runs
     for k, curve in enumerate(run_parallel(_bandit_run, jobs)):
         totals[k // args.seeds] += curve
     for total in totals:
@@ -173,7 +173,7 @@ def cli_main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -179,6 +179,8 @@ def run_training(config, env=None, episode_callback=None):
     """
     if env is None:
         env = make_env(config.env)
+    # Allocate first, so a run too large for memory leaves no files behind.
+    trainer = Trainer(config, env)
 
     os.makedirs(config.output_dir, exist_ok=True)
     try:
@@ -189,7 +191,6 @@ def run_training(config, env=None, episode_callback=None):
 
     records = []
     with metrics_fh:
-        trainer = Trainer(config, env)
         metrics_fh.write(CSV_HEADER + "\n")
         for _ in range(config.episodes):
             try:

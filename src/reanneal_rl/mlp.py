@@ -102,16 +102,14 @@ def init_adam_state(params):
 
 
 def _layers(params, x, acts=None, start=0):
-    """The layer loop shared by forward, forward_batch, backward and
-    index_table. It runs layers `start`, start + 1, ... on x, the input of
-    layer `start`, read as float64.
+    """The layer loop shared by forward, backward and index_table. It runs
+    layers `start`, start + 1, ... on x, the float64 input of layer `start`.
 
     Works on a 1-D input, a batch of rows (`x @ w.T` is the same gemv as
     `w @ x` for a 1-D x) or a stack of batches. Each layer's bias is added
     and its ReLU applied in place. With `acts`, the input and then the
     post-activation output of every layer are appended to it.
     """
-    x = np.asarray(x, dtype=float)
     if acts is not None:
         acts.append(x)
     last = len(params.weights) - 1
@@ -125,14 +123,13 @@ def _layers(params, x, acts=None, start=0):
     return x
 
 
-def forward(params, observation):
-    """Q-values for a single observation (1-D input, 1-D output)."""
-    return _layers(params, observation)
-
-
-def forward_batch(params, observations):
-    """Row-wise Q-values for a batch of observations (B x in -> B x out)."""
+def forward(params, observations):
+    """Q-values for one observation (1-D in, 1-D out) or row-wise for a
+    batch of observations (B x in -> B x out)."""
     return _layers(params, observations)
+
+
+forward_batch = forward  # the name perfbench/ still times and traces
 
 
 def index_table(params, batch_size):
@@ -143,7 +140,7 @@ def index_table(params, batch_size):
 
     A matmul's rows depend on its row count, so the rows run in blocks of
     exactly `batch_size` (zero rows pad the last): at batch sizes 32, 64 and
-    100 each row is forward_batch's row for its index bit for bit, wherever
+    100 each row is forward's row for its index bit for bit, wherever
     the index sits in the batch (README, "The HoverTrap experiment")."""
     size = params.layer_sizes[0]
     blocks = -(-size // batch_size)
@@ -178,8 +175,6 @@ def gradients(params, acts, actions, targets, kappa=1.0, grads=None):
     reused across steps) and into a fresh buffer otherwise. Inputs are not
     checked: a non-finite target gives a non-finite loss and gradients.
     """
-    actions = np.asarray(actions, dtype=int)
-    targets = np.asarray(targets, dtype=float)
     q = acts[-1]
     batch = q.shape[0]
     rows = np.arange(batch)

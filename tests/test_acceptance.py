@@ -81,7 +81,7 @@ def test_criterion_1_gradient_oracle():
             def loss_at(flat_values):
                 probe = mlp.clone_params(params)
                 probe.flat[:] = flat_values
-                q = mlp.forward_batch(probe, obs)
+                q = mlp.forward(probe, obs)
                 delta = q[np.arange(batch), actions] - targets
                 return float(np.mean(huber_loss(delta, kappa)))
 

@@ -13,7 +13,7 @@ from reanneal_rl.agent import Agent, AgentConfig, load_checkpoint, save_checkpoi
 from reanneal_rl.config import default_config
 from reanneal_rl.envs import Experience, make_env
 from reanneal_rl.harness import Trainer, evaluate_greedy
-from reanneal_rl.mlp import forward, forward_batch
+from reanneal_rl.mlp import forward
 from reanneal_rl.replay import ReplayBuffer
 
 SIZES = (4, 8, 8, 3)
@@ -399,7 +399,7 @@ def index_buffer(seed=1, pushes=200):
 def check_next_step(agent, buf, rng):
     """Check the greedy action of every state against a freshly built
     table, then run one train step on index observations and check, bit
-    for bit, the Q-values and targets it uses against forward_batch on the
+    for bit, the Q-values and targets it uses against forward on the
     one-hot rows and the weights it starts from."""
     size = agent.config.batch_size
     fresh = mlp.index_table(agent.online, size)[-1]
@@ -412,10 +412,10 @@ def check_next_step(agent, buf, rng):
 
     def spy(params, acts, actions, targets, kappa, grads):
         states, _, rewards, next_states, dones = batches[-1]
-        q_target = forward_batch(agent.target, one_hot[next_states])
+        q_target = forward(agent.target, one_hot[next_states])
         if agent.config.double_dqn:
-            best = forward_batch(agent.online,
-                                 one_hot[next_states]).argmax(axis=1)
+            best = forward(agent.online,
+                           one_hot[next_states]).argmax(axis=1)
             bootstrap = q_target[np.arange(size), best]
         else:
             bootstrap = q_target.max(axis=1)
@@ -423,8 +423,8 @@ def check_next_step(agent, buf, rng):
         bootstrap *= ~dones
         bootstrap += rewards
         assert bits(targets) == bits(bootstrap)
-        assert bits(acts[-1]) == bits(forward_batch(agent.online,
-                                                    one_hot[states]))
+        assert bits(acts[-1]) == bits(forward(agent.online,
+                                              one_hot[states]))
         checked.append(True)
         return gradients(params, acts, actions, targets, kappa, grads)
 

@@ -320,6 +320,17 @@ class TestCli:
         assert "--seeds" in err[0]
         assert not (out / "regret.csv").exists()
 
+    def test_bandit_failed_allocation_reports_one_error(self, tmp_path,
+                                                         capsys):
+        """A horizon of 1e14 asks for 728 TiB per regret curve, more than
+        the address space, so the request fails at once."""
+        out = tmp_path / "bandit"
+        code = cli_main(["bandit", "--horizon", "100000000000000",
+                         "--out", str(out)])
+        assert code == 1
+        assert "Unable to allocate" in one_error(capsys)
+        assert not out.exists()
+
     def test_bandit_uncreatable_out_fails_before_simulating(
             self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
@@ -561,6 +572,11 @@ MALFORMED_CONFIG = {
                            "gamma must be in [0, 1), got 1.5"),
     "learning-rate-inf": ("[agent]\nlearning_rate = inf\n",
                           "learning_rate must be positive and finite"),
+    # 1e14 int64 states, 728 TiB, more than the address space: the request
+    # fails at once, before any output is made.
+    "replay-capacity-1e14": (
+        "[run]\nenv = hovertrap\nreplay_capacity = 100000000000000\n",
+        "Unable to allocate"),
 }
 
 
@@ -574,7 +590,10 @@ def test_train_malformed_config_file_reports_one_error(tmp_path, capsys, text,
     code = cli_main(["train", "--config", str(cfg), "--out", str(out)])
     assert code == 1
     err = one_error(capsys)
-    assert err.startswith(f"error: {cfg}: ") and message in err
+    # Errors in the file name it; a failed allocation comes from the run.
+    prefix = ("error: " if message == "Unable to allocate"
+              else f"error: {cfg}: ")
+    assert err.startswith(prefix) and message in err
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from reanneal_rl.mlp import (
     backward,
     clone_params,
     forward,
-    forward_batch,
     init_adam_state,
     init_params,
 )
@@ -72,18 +71,21 @@ class TestForward:
 
 
 class TestForwardBatch:
+    def test_forward_batch_is_forward(self):
+        assert mlp.forward_batch is mlp.forward
+
     def test_single_row_matches_forward(self):
         rng = np.random.default_rng(1)
         p = small_net(rng)
         x = rng.normal(size=5)
-        np.testing.assert_array_equal(forward_batch(p, x[None, :])[0],
+        np.testing.assert_array_equal(forward(p, x[None, :])[0],
                                       forward(p, x))
 
     def test_rowwise_equality(self):
         rng = np.random.default_rng(2)
         p = small_net(rng)
         batch = rng.normal(size=(32, 5))
-        out = forward_batch(p, batch)
+        out = forward(p, batch)
         for i in range(32):
             np.testing.assert_allclose(out[i], forward(p, batch[i]),
                                        rtol=0, atol=1e-12)
@@ -92,7 +94,7 @@ class TestForwardBatch:
         rng = np.random.default_rng(4)
         p = small_net(rng)
         row = rng.normal(size=5)
-        out = forward_batch(p, np.stack([row, row]))
+        out = forward(p, np.stack([row, row]))
         assert np.array_equal(out[0], out[1])
 
 
@@ -125,7 +127,7 @@ class TestHuberLoss:
         actions = rng.integers(0, 3, size=9)
         targets = rng.normal(scale=4.0, size=9)
         _, loss = backward(p, batch, actions, targets, kappa=1.7)
-        selected = forward_batch(p, batch)[np.arange(9), actions]
+        selected = forward(p, batch)[np.arange(9), actions]
         assert loss == pytest.approx(
             np.mean(huber_loss(selected - targets, 1.7)), rel=1e-12)
 
@@ -133,7 +135,7 @@ class TestHuberLoss:
 def finite_difference_grads(params, batch, actions, targets, kappa, h=1e-5):
     """Central finite differences of the mean batch loss."""
     def loss():
-        q = forward_batch(params, batch)
+        q = forward(params, batch)
         sel = q[np.arange(len(actions)), actions]
         return float(np.mean(huber_loss(sel - targets, kappa)))
 
@@ -171,7 +173,7 @@ class TestBackward:
         p = small_net(rng)
         batch = rng.normal(size=(4, 5))
         actions = rng.integers(0, 3, size=4)
-        q = forward_batch(p, batch)
+        q = forward(p, batch)
         targets = q[np.arange(4), actions]
         grads, loss = backward(p, batch, actions, targets)
         assert loss == 0.0
@@ -379,7 +381,7 @@ def net_and_state_batches(draw):
 @settings(max_examples=100, deadline=None)
 @given(net_and_state_batches())
 def test_index_table_rows_are_forward_batch_rows_bitwise(case):
-    """Every row of the table equals, bit for bit, forward_batch's row for
+    """Every row of the table equals, bit for bit, forward's row for
     the one-hot row of its index, wherever that row sits in a batch of the
     table's batch size; and the gradient pass over gathered table rows is
     backward's on the one-hot rows."""
@@ -391,7 +393,7 @@ def test_index_table_rows_are_forward_batch_rows_bitwise(case):
     one_hot = np.eye(params.layer_sizes[0])
     for index, action, target in zip(batches, actions, targets):
         rows = one_hot[index]
-        assert bits(table[-1][index]) == bits(forward_batch(params, rows))
+        assert bits(table[-1][index]) == bits(forward(params, rows))
         acts = [rows, *(layer[index] for layer in table)]
         grads, loss = mlp.gradients(params, acts, action, target)
         expected, expected_loss = backward(params, rows, action, target)
